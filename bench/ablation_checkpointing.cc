@@ -22,8 +22,8 @@ int main() {
          {"25 workers, 150 minutes, 5 trials; eta=4, r=R/256"});
 
   const std::vector<std::pair<std::string, SchedulerFactory>> methods{
-      {"ASHA (resume)", AshaFactory(4, 256, /*resume=*/true)},
-      {"ASHA (scratch)", AshaFactory(4, 256, /*resume=*/false)},
+      {"ASHA (resume)", RegistryFactory("asha")},
+      {"ASHA (scratch)", RegistryFactory("asha", {.resume = false})},
   };
   const auto results = RunAndPrint(
       [](std::uint64_t seed) { return benchmarks::CifarArch(seed); }, methods,

@@ -28,17 +28,8 @@ int main() {
     for (int s : {0, 1, 2}) {
       const auto label =
           "eta=" + FormatDouble(eta, 0) + ", s=" + std::to_string(s);
-      methods.emplace_back(
-          label, [eta, s](const SyntheticBenchmark& bench, std::uint64_t seed) {
-            AshaOptions asha;
-            asha.r = bench.R() / 256;
-            asha.R = bench.R();
-            asha.eta = eta;
-            asha.s = s;
-            asha.seed = seed;
-            return std::make_unique<AshaScheduler>(
-                MakeRandomSampler(bench.space()), asha);
-          });
+      methods.emplace_back(label,
+                           RegistryFactory("asha", {.eta = eta, .s = s}));
     }
   }
 

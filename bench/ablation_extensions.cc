@@ -8,23 +8,13 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "core/asha.h"
+#include "core/sha.h"
 
 using namespace hypertune;
 using namespace hypertune::bench;
 
 namespace {
-
-SchedulerFactory AshaTpeFactory() {
-  return [](const SyntheticBenchmark& bench, std::uint64_t seed) {
-    AshaOptions asha;
-    asha.r = bench.R() / 256;
-    asha.R = bench.R();
-    asha.eta = 4;
-    asha.seed = seed;
-    return std::unique_ptr<Scheduler>(
-        MakeAshaTpe(bench.space(), asha, TpeOptions{}));
-  };
-}
 
 SchedulerFactory InfiniteHorizonFactory() {
   return [](const SyntheticBenchmark& bench, std::uint64_t seed) {
@@ -67,16 +57,16 @@ int main() {
          "BOHB",
          {"Table-1 architecture task; 25 workers, 150 minutes, 5 trials"});
   RunAndPrint([](std::uint64_t seed) { return benchmarks::CifarArch(seed); },
-              {{"ASHA", AshaFactory(4, 256)},
-               {"ASHA+TPE", AshaTpeFactory()},
-               {"BOHB", BohbFactory(256, 4, 256)}},
+              {{"ASHA", RegistryFactory("asha")},
+               {"ASHA+TPE", RegistryFactory("asha_tpe")},
+               {"BOHB", RegistryFactory("bohb")}},
               options, "minutes", "test error");
 
   Banner("Extension: infinite-horizon ASHA (Section 3.3)",
          {"promotions never capped at R; the top rung keeps growing",
           "incumbent judged at the resource actually reached"});
   RunAndPrint([](std::uint64_t seed) { return benchmarks::CifarArch(seed); },
-              {{"ASHA (finite)", AshaFactory(4, 256)},
+              {{"ASHA (finite)", RegistryFactory("asha")},
                {"ASHA (infinite horizon)", InfiniteHorizonFactory()}},
               options, "minutes", "test error");
 

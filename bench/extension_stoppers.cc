@@ -8,23 +8,9 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "registry/registry.h"
 
 using namespace hypertune;
 using namespace hypertune::bench;
-
-namespace {
-
-SchedulerFactory Registered(const std::string& name) {
-  return [name](const SyntheticBenchmark& bench, std::uint64_t seed) {
-    TunerParams params;
-    params.seed = seed;
-    params.step_divisor = 30;
-    return MakeTunerByName(name, bench, params);
-  };
-}
-
-}  // namespace
 
 int main() {
   ExperimentOptions options;
@@ -40,20 +26,20 @@ int main() {
           "ASHA prunes by rank within rungs"});
   RunAndPrint(
       [](std::uint64_t seed) { return benchmarks::CifarConvnet(seed); },
-      {{"ASHA", Registered("asha")},
-       {"MedianRule", Registered("median_rule")},
-       {"LCStop", Registered("lc_stop")},
-       {"Random", Registered("random")}},
+      {{"ASHA", RegistryFactory("asha")},
+       {"MedianRule", RegistryFactory("median_rule")},
+       {"LCStop", RegistryFactory("lc_stop")},
+       {"Random", RegistryFactory("random")}},
       options, "minutes", "test error");
 
   Banner("Extension: quasi-random (Halton) sampling",
          {"same budgets; Halton spreads the bottom rung more evenly"});
   RunAndPrint(
       [](std::uint64_t seed) { return benchmarks::CifarConvnet(seed); },
-      {{"Random search", Registered("random")},
-       {"Halton search", Registered("halton")},
-       {"ASHA", Registered("asha")},
-       {"ASHA+Halton", Registered("asha_halton")}},
+      {{"Random search", RegistryFactory("random")},
+       {"Halton search", RegistryFactory("halton")},
+       {"ASHA", RegistryFactory("asha")},
+       {"ASHA+Halton", RegistryFactory("asha_halton")}},
       options, "minutes", "test error");
 
   return 0;

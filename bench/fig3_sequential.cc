@@ -9,10 +9,32 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "searchspace/spaces.h"
+#include "core/hyperband.h"
 
 using namespace hypertune;
 using namespace hypertune::bench;
+
+namespace {
+
+// Hyperband scored on every intermediate result, a policy the registry does
+// not name ("hyperband" scores by rung, "hyperband_by_bracket" by bracket).
+SchedulerFactory IntermediateHyperbandFactory() {
+  return [](const SyntheticBenchmark& bench, std::uint64_t seed) {
+    const TunerParams defaults;
+    HyperbandOptions options;
+    options.n0 = defaults.n;
+    options.r = bench.R() / defaults.r_divisor;
+    options.R = bench.R();
+    options.eta = defaults.eta;
+    options.seed = seed;
+    options.incumbent_policy = IncumbentPolicy::kIntermediate;
+    options.resume_from_checkpoint = bench.spec().resumable;
+    return std::make_unique<HyperbandScheduler>(
+        MakeRandomSampler(bench.space()), options);
+  };
+}
+
+}  // namespace
 
 int main() {
   ExperimentOptions options;
@@ -22,14 +44,13 @@ int main() {
   options.grid_points = 25;
 
   const std::vector<std::pair<std::string, SchedulerFactory>> methods{
-      {"SHA", ShaFactory(256, 4, 256)},
-      {"Hyperband",
-       HyperbandFactory(256, 4, 256, IncumbentPolicy::kIntermediate)},
-      {"Random", RandomFactory()},
-      {"PBT", PbtFactory(25, 30)},
-      {"ASHA", AshaFactory(4, 256)},
-      {"Hyperband (async)", AsyncHyperbandFactory(256, 4, 256)},
-      {"BOHB", BohbFactory(256, 4, 256)},
+      {"SHA", RegistryFactory("sha")},
+      {"Hyperband", IntermediateHyperbandFactory()},
+      {"Random", RegistryFactory("random")},
+      {"PBT", RegistryFactory("pbt")},
+      {"ASHA", RegistryFactory("asha")},
+      {"Hyperband (async)", RegistryFactory("async_hyperband")},
+      {"BOHB", RegistryFactory("bohb")},
   };
 
   Banner("Figure 3 (left): CIFAR-10, small cuda-convnet model — sequential",
@@ -39,7 +60,7 @@ int main() {
 
   // PBT freezes architecture parameters on this task (Appendix A.3).
   auto arch_methods = methods;
-  arch_methods[3] = {"PBT", PbtFactory(25, 30, spaces::IsSmallCnnArchParam)};
+  arch_methods[3] = {"PBT", FrozenArchPbtFactory()};
 
   Banner("Figure 3 (right): CIFAR-10, small CNN architecture tuning task — "
          "sequential",

@@ -8,7 +8,6 @@
 
 #include "bench_util.h"
 #include "common/stats.h"
-#include "searchspace/spaces.h"
 
 using namespace hypertune;
 using namespace hypertune::bench;
@@ -37,10 +36,10 @@ int main() {
   options.grid_points = 15;
 
   const std::vector<std::pair<std::string, SchedulerFactory>> methods{
-      {"ASHA", AshaFactory(4, 256)},
-      {"PBT", PbtFactory(25, 30)},
-      {"SHA", ShaFactory(256, 4, 256)},
-      {"BOHB", BohbFactory(256, 4, 256)},
+      {"ASHA", RegistryFactory("asha")},
+      {"PBT", RegistryFactory("pbt")},
+      {"SHA", RegistryFactory("sha")},
+      {"BOHB", RegistryFactory("bohb")},
   };
 
   Banner("Figure 4 (left): CIFAR-10, small cuda-convnet model — 25 workers",
@@ -50,7 +49,7 @@ int main() {
               methods, options, "minutes", "test error");
 
   auto arch_methods = methods;
-  arch_methods[1] = {"PBT", PbtFactory(25, 30, spaces::IsSmallCnnArchParam)};
+  arch_methods[1] = {"PBT", FrozenArchPbtFactory()};
 
   Banner("Figure 4 (right): CIFAR-10, small CNN architecture task — 25 "
          "workers",

@@ -27,9 +27,10 @@ int main() {
   // Async Hyperband loops brackets s = 0..3 (r spans R/64 .. R) — n0 sized
   // so bracket budgets match a hypothetical n=256-ish SHA run.
   const std::vector<std::pair<std::string, SchedulerFactory>> methods{
-      {"ASHA", AshaFactory(4, 64)},
-      {"Hyperband (async)", AsyncHyperbandFactory(256, 4, 64)},
-      {"Vizier", VizierFactory()},
+      {"ASHA", RegistryFactory("asha", {.r_divisor = 64})},
+      {"Hyperband (async)",
+       RegistryFactory("async_hyperband", {.r_divisor = 64})},
+      {"Vizier", RegistryFactory("vizier")},
   };
 
   Banner("Figure 5: LSTM on PTB — 500 workers, 6 x time(R)",

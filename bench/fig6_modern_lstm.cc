@@ -20,8 +20,9 @@ int main() {
   options.grid_points = 14;
 
   const std::vector<std::pair<std::string, SchedulerFactory>> methods{
-      {"PBT", PbtFactory(20, 32)},      // 256 epochs / 8-epoch steps
-      {"ASHA", AshaFactory(4, 256)},    // r = 1 epoch
+      // 256 epochs / 8-epoch steps.
+      {"PBT", RegistryFactory("pbt", {.population = 20, .step_divisor = 32})},
+      {"ASHA", RegistryFactory("asha")},  // r = 1 epoch
   };
 
   Banner("Figure 6: AWD-LSTM with DropConnect on PTB — 16 workers",

@@ -25,12 +25,8 @@ double MeanFirstCompletion(bool asha, double straggler_std,
   for (int sim = 0; sim < kSims; ++sim) {
     const auto seed = static_cast<std::uint64_t>(sim) * 137 + 11;
     auto bench = benchmarks::UnitTime(seed);
-    std::unique_ptr<Scheduler> scheduler;
-    if (asha) {
-      scheduler = AshaFactory(4, 256)(*bench, seed);
-    } else {
-      scheduler = ShaFactory(256, 4, 256)(*bench, seed);
-    }
+    auto scheduler =
+        MakeTunerByName(asha ? "asha" : "sha", *bench, {.seed = seed});
     DriverOptions options;
     options.num_workers = kWorkers;
     options.time_limit = kHorizon;

@@ -18,7 +18,7 @@ using namespace hypertune::bench;
 namespace {
 
 void RunTask(const std::string& title, const std::string& benchmark_name,
-             double horizon_minutes, int n0, double r_divisor) {
+             double horizon_minutes, std::size_t n0, double r_divisor) {
   ExperimentOptions options;
   options.num_trials = 10;
   options.num_workers = 1;
@@ -27,13 +27,12 @@ void RunTask(const std::string& title, const std::string& benchmark_name,
 
   const std::vector<std::pair<std::string, SchedulerFactory>> methods{
       {"Hyperband (by rung)",
-       HyperbandFactory(static_cast<std::size_t>(n0), 4, r_divisor,
-                        IncumbentPolicy::kByRung)},
+       RegistryFactory("hyperband", {.r_divisor = r_divisor, .n = n0})},
       {"Hyperband (by bracket)",
-       HyperbandFactory(static_cast<std::size_t>(n0), 4, r_divisor,
-                        IncumbentPolicy::kByBracket)},
-      {"Fabolas", FabolasFactory()},
-      {"Random", RandomFactory()},
+       RegistryFactory("hyperband_by_bracket",
+                       {.r_divisor = r_divisor, .n = n0})},
+      {"Fabolas", RegistryFactory("fabolas")},
+      {"Random", RegistryFactory("random")},
   };
 
   Banner(title, {"1 worker, " + FormatDouble(horizon_minutes, 0) +

@@ -33,7 +33,7 @@ int main() {
     const auto result = RunExperiment(
         "ASHA",
         [](std::uint64_t seed) { return benchmarks::CifarArch(seed); },
-        AshaFactory(4, 256), options);
+        RegistryFactory("asha"), options);
     const double t = MeanTimeToReach(result.trajectories, kTargetError);
     if (workers == 1) t1 = t;
     table.AddRow({std::to_string(workers),

@@ -1,11 +1,21 @@
 #include "analysis/experiment.h"
 
 #include <chrono>
+#include <utility>
 
 #include "common/check.h"
 #include "telemetry/telemetry.h"
 
 namespace hypertune {
+
+SchedulerFactory RegistryFactory(std::string name, TunerParams params) {
+  return [name = std::move(name), params](const SyntheticBenchmark& benchmark,
+                                          std::uint64_t trial_seed) {
+    TunerParams seeded = params;
+    seeded.seed = trial_seed;
+    return MakeTunerByName(name, benchmark, seeded);
+  };
+}
 
 MethodResult RunExperiment(const std::string& method_name,
                            const BenchmarkFactory& make_benchmark,

@@ -10,6 +10,7 @@
 
 #include "analysis/aggregate.h"
 #include "core/scheduler.h"
+#include "registry/registry.h"
 #include "sim/driver.h"
 #include "surrogate/benchmark.h"
 
@@ -24,6 +25,10 @@ using BenchmarkFactory =
 /// Builds the tuner for one trial; `benchmark` supplies the space and R.
 using SchedulerFactory = std::function<std::unique_ptr<Scheduler>(
     const SyntheticBenchmark& benchmark, std::uint64_t trial_seed)>;
+
+/// Builds the registry tuner `name` with `params` for each trial, with
+/// params.seed replaced by the trial seed.
+SchedulerFactory RegistryFactory(std::string name, TunerParams params = {});
 
 struct ExperimentOptions {
   int num_trials = 5;

@@ -70,6 +70,9 @@ std::unique_ptr<Scheduler> MakeTuner(const std::string& name,
     options.s = params.s;
     options.seed = params.seed;
     options.resume_from_checkpoint = resume;
+    // Synchronous SHA's recommendation updates when a rung settles, not on
+    // every intermediate result (Appendix A.2's by-rung accounting, the
+    // stronger of the two synchronous policies).
     options.incumbent_policy = IncumbentPolicy::kByRung;
     return std::make_unique<SyncShaScheduler>(MakeRandomSampler(space),
                                               options);

@@ -34,9 +34,9 @@ struct TunerParams {
   bool resume = true;
 };
 
-/// Known names: asha, asha_tpe, sha, hyperband, hyperband_by_bracket,
-/// async_hyperband, random, grid, bohb, pbt, vizier, vizier_capped,
-/// fabolas, median_rule.
+/// Known names: asha, asha_tpe, asha_halton, sha, hyperband,
+/// hyperband_by_bracket, async_hyperband, random, halton, grid, bohb, pbt,
+/// vizier, vizier_capped, fabolas, median_rule, lc_stop.
 std::vector<std::string> TunerNames();
 
 /// What tuner construction actually reads off a benchmark, supplied

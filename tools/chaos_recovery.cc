@@ -376,7 +376,8 @@ int RunEnospcChaos(const std::string& scratch, bool quick) {
         d.grants_denied > 0 && d.records_buffered > 0;
     bool recovery_identical = false;
     {
-      auto scheduler = MakeDumpScheduler(base.kind, base.seed);
+      auto scheduler = MakeStudySchedulerFactory(DumpSpace())(
+          DumpStudyConfig(base.kind, base.seed));
       DurableServer recovered(*scheduler, DumpServerOptions(),
                               DurabilityOptions{.dir = dir});
       recovery_identical =

@@ -35,7 +35,7 @@
 // three variants can be diffed byte-for-byte — the wire layer's
 // decision-invariance proof.
 //
-// Usage: decision_dump <asha|sha|hyperband> <seed> <workers>
+// Usage: decision_dump <asha|sha|hyperband|random> <seed> <workers>
 //                      [--hazards <straggler_std>,<drop_prob>]
 //                      [--decisions-only]
 //                      [--crash-at <K> --state-dir <dir>] [--downtime <T>]
@@ -63,7 +63,8 @@ SimEngine g_engine = SimEngine::kBinaryHeap;
 
 std::unique_ptr<Scheduler> MakeScheduler(const std::string& kind,
                                          std::uint64_t seed) {
-  auto scheduler = MakeDumpScheduler(kind, seed);
+  auto scheduler =
+      MakeStudySchedulerFactory(DumpSpace())(DumpStudyConfig(kind, seed));
   if (scheduler == nullptr) {
     std::cerr << "unknown scheduler kind '" << kind << "'\n";
     std::exit(2);
@@ -276,7 +277,8 @@ bool DumpHazardRuns(const std::string& kind, std::uint64_t seed, int workers,
 namespace {
 
 int Usage() {
-  std::cerr << "usage: decision_dump <asha|sha|hyperband> <seed> <workers>"
+  std::cerr << "usage: decision_dump <asha|sha|hyperband|random> <seed>"
+               " <workers>"
                " [--hazards <straggler_std>,<drop_prob>]"
                " [--decisions-only]"
                " [--crash-at <K> --state-dir <dir>] [--downtime <T>]"
@@ -366,10 +368,7 @@ int main(int argc, char** argv) {
       plan.downtime = downtime;
       options.crash = plan;
     }
-    if (hypertune::MakeDumpScheduler(kind, seed) == nullptr) {
-      std::cerr << "unknown scheduler kind '" << kind << "'\n";
-      return 2;
-    }
+    hypertune::MakeScheduler(kind, seed);  // exits 2 on an unknown kind
     const auto result = hypertune::RunServiceDecisions(options);
     std::cout << result.text;
     if (crash_at) {

@@ -24,9 +24,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/asha.h"
-#include "core/async_hyperband.h"
-#include "core/sha.h"
 #include "durability/durable_server.h"
 #include "fault/fault.h"
 #include "fault/fault_fs.h"
@@ -36,6 +33,7 @@
 #include "service/server.h"
 #include "service/worker.h"
 #include "sim/environment.h"
+#include "study/study_manager.h"
 
 namespace hypertune {
 
@@ -62,40 +60,14 @@ class DumpEnv final : public JobEnvironment {
   }
 };
 
-inline std::unique_ptr<Scheduler> MakeDumpScheduler(const std::string& kind,
-                                                    std::uint64_t seed) {
-  if (kind == "asha") {
-    AshaOptions options;
-    options.r = 1;
-    options.R = 81;
-    options.eta = 3;
-    options.max_trials = 300;
-    options.seed = seed;
-    return std::make_unique<AshaScheduler>(MakeRandomSampler(DumpSpace()),
-                                           options);
-  }
-  if (kind == "sha") {
-    ShaOptions options;
-    options.n = 81;
-    options.r = 1;
-    options.R = 81;
-    options.eta = 3;
-    options.spawn_new_brackets = false;
-    options.seed = seed;
-    return std::make_unique<SyncShaScheduler>(MakeRandomSampler(DumpSpace()),
-                                              options);
-  }
-  if (kind == "hyperband") {
-    AsyncHyperbandOptions options;
-    options.n0 = 81;
-    options.r = 1;
-    options.R = 81;
-    options.eta = 3;
-    options.seed = seed;
-    return std::make_unique<AsyncHyperbandScheduler>(
-        MakeRandomSampler(DumpSpace()), options);
-  }
-  return nullptr;
+/// The study config of a dump run. Only "kind" and "seed" are set, so
+/// MakeStudySchedulerFactory(DumpSpace()) sizes the scheduler with its stock
+/// defaults (r=1, R=81, eta=3, ...), exactly as it sizes a study tenant.
+inline Json DumpStudyConfig(const std::string& kind, std::uint64_t seed) {
+  Json config = JsonObject{};
+  config.Set("kind", Json(kind));
+  config.Set("seed", Json(static_cast<std::int64_t>(seed)));
+  return config;
 }
 
 /// Crash/restart plan for RunServiceDecisions.
@@ -260,6 +232,7 @@ inline ServiceDecisionsResult RunServiceDecisions(
   // exactly the real deployment's failure boundary.
   HazardInjector injector(opts.hazards, opts.seed);
 
+  const StudySchedulerFactory factory = MakeStudySchedulerFactory(DumpSpace());
   std::unique_ptr<Scheduler> scheduler;
   std::unique_ptr<TuningServer> plain;
   std::optional<DurableServer> durable;
@@ -284,7 +257,7 @@ inline ServiceDecisionsResult RunServiceDecisions(
     harvest();
     durable.reset();
     plain.reset();
-    scheduler = MakeDumpScheduler(opts.kind, opts.seed);
+    scheduler = factory(DumpStudyConfig(opts.kind, opts.seed));
     HT_CHECK_MSG(scheduler != nullptr,
                  "unknown scheduler kind '" << opts.kind << "'");
     if (opts.crash) {

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -54,6 +55,15 @@ struct Flags {
     const auto it = values.find(key);
     return it == values.end() ? fallback : std::stoi(it->second);
   }
+  /// A count flag (>= 1); rejected before it is cast to an unsigned size.
+  std::size_t GetCount(const std::string& key, int fallback) const {
+    const int value = GetInt(key, fallback);
+    if (value < 1) {
+      throw std::invalid_argument("--" + key + " must be at least 1, got " +
+                                  std::to_string(value));
+    }
+    return static_cast<std::size_t>(value);
+  }
   bool Has(const std::string& key) const { return values.contains(key); }
 };
 
@@ -72,6 +82,17 @@ Flags ParseFlags(int argc, char** argv) {
     }
   }
   return flags;
+}
+
+/// The registry parameters every tuner-building mode reads from the flags.
+TunerParams ParamsFromFlags(const Flags& flags) {
+  TunerParams params;
+  params.eta = flags.GetDouble("eta", 4);
+  params.s = flags.GetInt("s", 0);
+  params.r_divisor = flags.GetDouble("r-divisor", 256);
+  params.n = flags.GetCount("n", 256);
+  params.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1000));
+  return params;
 }
 
 int Usage() {
@@ -157,15 +178,8 @@ void ServeUntilInterrupted(double serve_seconds) {
 int RunServe(const Flags& flags) {
   const std::string benchmark_name = flags.Get("benchmark", "cifar_arch");
   const std::string tuner = flags.Get("tuner", "asha");
-  const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1000));
-  auto bench = benchmarks::ByName(benchmark_name, seed);
-
-  TunerParams params;
-  params.eta = flags.GetDouble("eta", 4);
-  params.s = flags.GetInt("s", 0);
-  params.r_divisor = flags.GetDouble("r-divisor", 256);
-  params.n = static_cast<std::size_t>(flags.GetInt("n", 256));
-  params.seed = seed;
+  const TunerParams params = ParamsFromFlags(flags);
+  auto bench = benchmarks::ByName(benchmark_name, params.seed);
   auto scheduler = MakeTunerByName(tuner, *bench, params);
 
   const ServerOptions server_options{
@@ -385,18 +399,13 @@ int main(int argc, char** argv) {
     const std::string benchmark_name = flags.Get("benchmark", "cifar_arch");
     const std::string tuner_list = flags.Get("tuner", "asha");
 
-    TunerParams params;
-    params.eta = flags.GetDouble("eta", 4);
-    params.s = flags.GetInt("s", 0);
-    params.r_divisor = flags.GetDouble("r-divisor", 256);
-    params.n = static_cast<std::size_t>(flags.GetInt("n", 256));
+    const TunerParams params = ParamsFromFlags(flags);
 
     ExperimentOptions options;
     options.num_trials = flags.GetInt("trials", 3);
     options.num_workers = flags.GetInt("workers", 25);
-    options.grid_points = static_cast<std::size_t>(
-        flags.GetInt("grid-points", 12));
-    options.base_seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1000));
+    options.grid_points = flags.GetCount("grid-points", 12);
+    options.base_seed = params.seed;
 
     // Observability: a virtual-clock sink keeps simulated traces
     // deterministic (byte-identical across reruns of the same seed).
@@ -434,12 +443,7 @@ int main(int argc, char** argv) {
           [&](std::uint64_t seed) {
             return benchmarks::ByName(benchmark_name, seed);
           },
-          [&](const SyntheticBenchmark& bench, std::uint64_t seed) {
-            TunerParams seeded = params;
-            seeded.seed = seed;
-            return MakeTunerByName(tuner, bench, seeded);
-          },
-          options));
+          RegistryFactory(tuner, params), options));
     }
 
     const std::string metric = probe->spec().metric_name;

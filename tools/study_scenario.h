@@ -89,10 +89,7 @@ inline MultiStudyResult RunMultiStudyDecisions(const MultiStudyOptions& opts) {
   for (std::size_t i = 0; i < opts.studies; ++i) {
     const auto [kind, seed] = MultiStudyCombo(i);
     const std::string name = MultiStudyName(i);
-    Json config = JsonObject{};
-    config.Set("kind", Json(kind));
-    config.Set("seed", Json(static_cast<std::int64_t>(seed)));
-    HT_CHECK_MSG(manager->CreateStudy(name, config, 0.0),
+    HT_CHECK_MSG(manager->CreateStudy(name, DumpStudyConfig(kind, seed), 0.0),
                  "cannot create study " << name);
     result.combos[name] = {kind, seed};
   }
