@@ -1,9 +1,16 @@
 // CRC-32 (IEEE 802.3, the zlib polynomial) over arbitrary bytes.
 //
-// Used to frame write-ahead-journal records (src/durability): each frame
-// stores the CRC of its payload, so a torn or bit-rotted tail is detected
-// by checksum mismatch rather than parsed as garbage. Table-driven,
-// dependency-free, byte-order independent.
+// The one checksum of the repository, shared by its three users: binary
+// wire frames (src/net/wire.h) carry the CRC of their payload, write-ahead
+// journal records (src/durability) carry the CRC of theirs, and HTTB
+// surrogate tables (src/surrogate/table.h) carry the CRC of their whole
+// payload. A torn or bit-rotted frame, record or table is detected by
+// checksum mismatch rather than parsed as garbage.
+//
+// Slicing-by-8: eight 256-entry tables fold eight input bytes per step
+// (Kounavis & Berry), with a byte-at-a-time tail. Input is read byte by
+// byte and assembled little-endian, so the result is byte-order and
+// alignment independent. Dependency-free.
 #pragma once
 
 #include <cstddef>

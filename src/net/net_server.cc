@@ -128,6 +128,7 @@ NetServerStats NetServer::stats() const {
   stats.connections_shed = connections_shed_.load();
   stats.slow_clients_evicted = slow_clients_evicted_.load();
   stats.requests_shed = requests_shed_.load();
+  stats.sends = sends_.load();
   return stats;
 }
 
@@ -183,6 +184,10 @@ struct NetServer::Loop {
     }
   }
 
+  /// Appends a reply to the connection's outbuf. ReadReady flushes once
+  /// per read batch, so pipelined requests cost one send, not one each.
+  /// Past max_outbuf_bytes the batch flushes early; only bytes the kernel
+  /// still refuses then mark the client as too slow to keep.
   void Enqueue(Connection& conn, std::string bytes) {
     if (conn.outbuf.empty() || conn.out_offset == conn.outbuf.size()) {
       conn.outbuf = std::move(bytes);
@@ -190,9 +195,10 @@ struct NetServer::Loop {
     } else {
       conn.outbuf.append(bytes);
     }
-    FlushWrites(conn);
     const std::size_t cap = server.options_.max_outbuf_bytes;
-    if (cap > 0 && conn.outbuf.size() - conn.out_offset > cap) {
+    if (cap == 0 || conn.outbuf.size() - conn.out_offset <= cap) return;
+    FlushWrites(conn);
+    if (conn.outbuf.size() - conn.out_offset > cap) {
       // A consumer this far behind is effectively dead: buffering more
       // replies for it would grow without bound. Drop its buffer and close.
       conn.evicted = true;
@@ -214,6 +220,7 @@ struct NetServer::Loop {
                   conn.outbuf.size() - conn.out_offset);
       if (n > 0) {
         conn.out_offset += static_cast<std::size_t>(n);
+        ++server.sends_;
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
@@ -393,8 +400,9 @@ struct NetServer::Loop {
     }
   }
 
-  /// Reads until EAGAIN/EOF. Returns false when the connection is done
-  /// (EOF or error) and should be reaped after its outbuf flushes.
+  /// Reads until EAGAIN/EOF, flushing each chunk's replies together, in
+  /// request order. Returns false when the connection is done (EOF or
+  /// error) and should be reaped after its outbuf flushes.
   bool ReadReady(Connection& conn) {
     char buffer[64 * 1024];
     for (;;) {
@@ -403,6 +411,7 @@ struct NetServer::Loop {
         ProcessInput(conn, std::string_view(buffer,
                                             static_cast<std::size_t>(n)));
         if (conn.evicted) return false;
+        FlushWrites(conn);
         if (conn.close_after_flush) {
           // Poisoned stream: stop reading, let the error reply flush (the
           // reap check below closes once outbuf drains).

@@ -29,6 +29,10 @@
 // frames are skipped with an error reply on a surviving connection, and
 // unframeable streams (bad magic/version/oversized) are closed cleanly.
 //
+// Writes are coalesced: replies to the requests of one read batch are
+// appended in request order and leave in one send, so a client that
+// pipelines N requests costs the server one write, not N.
+//
 // Stop() drains gracefully: stop accepting, flush every pending reply
 // (bounded by drain_timeout), close all sockets, join the loop thread.
 // Workers observe EOF, their next Send fails, and they enter the PR-5
@@ -67,10 +71,10 @@ struct NetServerOptions {
   /// Cap on concurrent connections; accepts beyond it are shed (closed
   /// immediately and counted). 0 = unlimited.
   std::size_t max_connections = 0;
-  /// Cap on a connection's pending-reply buffer. A client that stops
-  /// reading while replies pile up past this is evicted — its buffer is
-  /// dropped and the socket closed — instead of growing the buffer without
-  /// bound. 0 = unlimited.
+  /// Cap on a connection's pending-reply buffer. Replies past it are
+  /// flushed at once; a client whose socket still refuses them (it stopped
+  /// reading) is evicted — its buffer is dropped and the socket closed —
+  /// instead of growing the buffer without bound. 0 = unlimited.
   std::size_t max_outbuf_bytes = 0;
   /// Overload shedding: when the idle tick runs this many wall seconds
   /// late (the loop can't keep up), request_job / request_jobs are
@@ -109,6 +113,9 @@ struct NetServerStats {
   std::size_t slow_clients_evicted = 0;
   /// Grant requests answered with a shed no_job during overload.
   std::size_t requests_shed = 0;
+  /// Successful send calls. Replies to one read batch share a send, so
+  /// messages_handled / sends is the write-coalescing ratio.
+  std::size_t sends = 0;
 };
 
 class NetServer {
@@ -161,6 +168,7 @@ class NetServer {
   std::atomic<std::size_t> connections_shed_{0};
   std::atomic<std::size_t> slow_clients_evicted_{0};
   std::atomic<std::size_t> requests_shed_{0};
+  std::atomic<std::size_t> sends_{0};
 
   void Run();
 };

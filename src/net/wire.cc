@@ -7,26 +7,29 @@
 
 namespace hypertune {
 
+namespace {
+
+/// Appends the low N bytes of `value`, little-endian, as one chunk.
+template <std::size_t N>
+void AppendLe(std::string& out, std::uint64_t value) {
+  char bytes[N];
+  for (std::size_t i = 0; i < N; ++i) {
+    bytes[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+  out.append(bytes, N);
+}
+
+}  // namespace
+
 void WireWriter::U8(std::uint8_t value) {
   bytes_.push_back(static_cast<char>(value));
 }
 
-void WireWriter::U16(std::uint16_t value) {
-  bytes_.push_back(static_cast<char>(value & 0xFF));
-  bytes_.push_back(static_cast<char>(value >> 8));
-}
+void WireWriter::U16(std::uint16_t value) { AppendLe<2>(bytes_, value); }
 
-void WireWriter::U32(std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    bytes_.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
+void WireWriter::U32(std::uint32_t value) { AppendLe<4>(bytes_, value); }
 
-void WireWriter::U64(std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    bytes_.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
+void WireWriter::U64(std::uint64_t value) { AppendLe<8>(bytes_, value); }
 
 void WireWriter::F64(double value) {
   std::uint64_t bits = 0;
@@ -114,13 +117,13 @@ void WireReader::ExpectEnd() const {
 std::string EncodeFrame(WireType type, std::string_view payload) {
   HT_CHECK_MSG(payload.size() <= kMaxFramePayload,
                "frame payload too large: " << payload.size() << " bytes");
-  WireWriter header;
-  header.U32(kFrameMagic);
-  header.U16(kWireVersion);
-  header.U16(static_cast<std::uint16_t>(type));
-  header.U32(static_cast<std::uint32_t>(payload.size()));
-  header.U32(Crc32(payload));
-  std::string frame = header.Take();
+  std::string frame;
+  frame.reserve(kFrameHeaderSize + payload.size());
+  AppendLe<4>(frame, kFrameMagic);
+  AppendLe<2>(frame, kWireVersion);
+  AppendLe<2>(frame, static_cast<std::uint16_t>(type));
+  AppendLe<4>(frame, payload.size());
+  AppendLe<4>(frame, Crc32(payload));
   frame.append(payload);
   return frame;
 }

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -14,6 +13,7 @@
 #include <fstream>
 
 #include "common/check.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "surrogate/benchmark.h"
 
@@ -24,25 +24,6 @@ namespace {
 constexpr char kMagic[8] = {'H', 'T', 'T', 'B', '0', '0', '0', '1'};
 constexpr std::size_t kHeaderBytes = 24;
 constexpr std::uint32_t kFlagResumable = 1u << 0;
-
-std::uint32_t Crc32(const unsigned char* data, std::size_t n) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 void ValidateShape(const TableData& data) {
   HT_CHECK_MSG(data.rows > 0, "table must have at least one row");
@@ -140,8 +121,7 @@ std::string PackTable(const TableData& data) {
   AppendDoubles(out, data.losses);
   AppendDoubles(out, data.cum_times);
   const std::uint32_t crc =
-      Crc32(reinterpret_cast<const unsigned char*>(out.data()) + kHeaderBytes,
-            out.size() - kHeaderBytes);
+      Crc32(std::string_view(out).substr(kHeaderBytes));
   std::memcpy(out.data() + 20, &crc, 4);
   return out;
 }

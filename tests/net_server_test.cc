@@ -1,8 +1,9 @@
 // NetServer integration: a real ASHA study over loopback TCP (binary and
 // JSON transports) lands on the same decisions as in-process, idle leases
 // expire (and are journaled) with zero inbound traffic, malformed frames
-// are accounted without taking the loop down, and graceful shutdown pushes
-// workers into the PR-5 backoff path.
+// are accounted without taking the loop down, replies to a pipelined batch
+// leave in request order in one send, and graceful shutdown pushes
+// workers into the reconnect/backoff path.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -67,6 +68,14 @@ Json Report(std::uint64_t worker, std::int64_t job_id, double loss) {
   message.Set("worker", Json(static_cast<std::int64_t>(worker)));
   message.Set("job_id", Json(job_id));
   message.Set("loss", Json(loss));
+  return message;
+}
+
+Json Heartbeat(std::uint64_t worker, std::int64_t job_id) {
+  Json message = JsonObject{};
+  message.Set("type", Json("heartbeat"));
+  message.Set("worker", Json(static_cast<std::int64_t>(worker)));
+  message.Set("job_id", Json(job_id));
   return message;
 }
 
@@ -628,6 +637,120 @@ TEST(NetHardening, SlowClientsAreEvictedAtTheOutbufCap) {
   EXPECT_TRUE(WaitFor([&] { return net.stats().connections_closed >= 1; }));
 
   net.Stop();
+}
+
+// --- Write coalescing: one send per read batch ---
+
+/// The real syscalls, counted: sends the server made and reads that
+/// delivered bytes.
+class CountingIo final : public SocketIo {
+ public:
+  ssize_t Send(int fd, const void* data, std::size_t size) override {
+    ++sends;
+    return SocketIo::Real().Send(fd, data, size);
+  }
+  ssize_t Recv(int fd, void* data, std::size_t size) override {
+    const ssize_t n = SocketIo::Real().Recv(fd, data, size);
+    if (n > 0) ++reads;
+    return n;
+  }
+
+  std::atomic<std::size_t> sends{0};
+  std::atomic<std::size_t> reads{0};
+};
+
+/// 64 requests alternating request_job (reply "job") and a heartbeat on
+/// an unknown lease (reply "lease_lost"), so reply types pin the order.
+constexpr int kPipelined = 64;
+
+std::string ExpectedReplyType(int i) {
+  return i % 2 == 0 ? "job" : "lease_lost";
+}
+
+Json PipelinedRequest(int i) {
+  return i % 2 == 0 ? RequestJob(static_cast<std::uint64_t>(i))
+                    : Heartbeat(static_cast<std::uint64_t>(i), 1000000 + i);
+}
+
+TEST(NetCoalescing, PipelinedBatchRepliesInOrderWithOneSendPerRead) {
+  for (const WireTransport transport :
+       {WireTransport::kBinary, WireTransport::kJson}) {
+    SCOPED_TRACE(transport == WireTransport::kBinary ? "binary" : "json");
+    RandomSearchScheduler scheduler(MakeRandomSampler(UnitSpace()),
+                                    {.R = 10});
+    TuningServer server(scheduler, {});
+    CountingIo counting;
+    NetServerOptions options;
+    options.io = &counting;
+    NetServer net(server, options);
+    net.Start();
+
+    RawClient client(net.port());
+    std::string batch;
+    for (int i = 0; i < kPipelined; ++i) {
+      batch += transport == WireTransport::kBinary
+                   ? EncodeMessage(PipelinedRequest(i), i)
+                   : EncodeJsonLine(PipelinedRequest(i), i);
+    }
+    client.SendAll(batch);  // one write: the server sees a pipelined batch
+    std::int64_t last_job_id = -1;
+    for (int i = 0; i < kPipelined; ++i) {
+      Json reply;
+      if (transport == WireTransport::kBinary) {
+        const auto frame = client.RecvFrame();
+        ASSERT_TRUE(frame.has_value()) << "reply " << i;
+        reply = DecodeMessage(*frame).message;
+      } else {
+        const auto line = client.RecvLine();
+        ASSERT_TRUE(line.has_value()) << "reply " << i;
+        reply = DecodeJsonLine(*line).message;
+      }
+      ASSERT_EQ(reply.at("type").AsString(), ExpectedReplyType(i))
+          << "reply " << i;
+      if (i % 2 == 0) {
+        EXPECT_GT(reply.at("job_id").AsInt(), last_job_id);
+        last_job_id = reply.at("job_id").AsInt();
+      }
+    }
+    net.Stop();
+
+    EXPECT_EQ(net.stats().messages_handled,
+              static_cast<std::size_t>(kPipelined));
+    EXPECT_GE(counting.reads.load(), 1u);
+    EXPECT_LE(counting.sends.load(), counting.reads.load());
+    EXPECT_EQ(net.stats().sends, counting.sends.load());
+  }
+}
+
+TEST(NetCoalescing, BatchPastTheOutbufCapFlushesInsteadOfEvicting) {
+  RandomSearchScheduler scheduler(MakeRandomSampler(UnitSpace()), {.R = 10});
+  TuningServer server(scheduler, {});
+  constexpr std::size_t kCap = 256;
+  NetServerOptions options;
+  options.max_outbuf_bytes = kCap;
+  NetServer net(server, options);
+  net.Start();
+
+  RawClient client(net.port());
+  std::string batch;
+  for (int i = 0; i < kPipelined; ++i) {
+    batch += EncodeMessage(PipelinedRequest(i), i);
+  }
+  client.SendAll(batch);
+  std::size_t reply_bytes = 0;
+  for (int i = 0; i < kPipelined; ++i) {
+    const auto frame = client.RecvFrame();
+    ASSERT_TRUE(frame.has_value()) << "reply " << i;
+    EXPECT_EQ(DecodeMessage(*frame).message.at("type").AsString(),
+              ExpectedReplyType(i));
+    reply_bytes += kFrameHeaderSize + frame->payload.size();
+  }
+  net.Stop();
+
+  EXPECT_GT(reply_bytes, kCap);  // the batch really did pass the cap
+  EXPECT_EQ(net.stats().slow_clients_evicted, 0u);
+  EXPECT_EQ(net.stats().messages_handled,
+            static_cast<std::size_t>(kPipelined));
 }
 
 /// Wraps a service and stalls HandleMessage on demand — the loop thread

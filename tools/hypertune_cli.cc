@@ -220,7 +220,8 @@ int RunServe(const Flags& flags) {
   std::cout << "connections=" << net_stats.connections_accepted
             << " messages=" << net_stats.messages_handled
             << " ticks=" << net_stats.timer_ticks
-            << " rejected=" << net_stats.messages_rejected << "\n"
+            << " rejected=" << net_stats.messages_rejected
+            << " sends=" << net_stats.sends << "\n"
             << "assigned=" << stats.jobs_assigned
             << " completed=" << stats.jobs_completed
             << " expired=" << stats.leases_expired << "\n";
@@ -276,7 +277,8 @@ int RunServeMultiStudy(const Flags& flags) {
   std::cout << "connections=" << net_stats.connections_accepted
             << " messages=" << net_stats.messages_handled
             << " ticks=" << net_stats.timer_ticks
-            << " rejected=" << net_stats.messages_rejected << "\n";
+            << " rejected=" << net_stats.messages_rejected
+            << " sends=" << net_stats.sends << "\n";
   for (const auto& info : manager.ListStudies()) {
     std::cout << "study " << info.name
               << (info.suspended ? " suspended" : " active")
