@@ -1,11 +1,11 @@
-// Microbenchmarks of the simulation engine fast path (ISSUE: zero-cost-
+// Microbenchmarks of the simulation engine fast path (the zero-cost-
 // benchmark regime): a tabular environment answers Loss/Duration by table
 // lookup, a trivial sweep scheduler hands out one job per call, and the
 // driver's event loop — queue ops, worker bookkeeping, lifecycle guards —
 // is all that remains. Results are recorded in BENCH_sim.json.
 //
 //   BM_SimJobThroughput/<workers>/<engine>   engine: 0 heap, 1 calendar
-//   BM_SimJobThroughputTraced/<workers>      calendar + batched telemetry
+//   BM_SimJobThroughputTraced/<workers>      calendar, every span traced
 //   BM_TableLookup                           raw Loss+Duration lookups
 #include <benchmark/benchmark.h>
 

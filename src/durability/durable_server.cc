@@ -162,9 +162,7 @@ Json DurableServer::HandleMessage(const Json& message, double now) {
     // their records buffer — so in-flight work is not thrown away.
     ++stats_.grants_denied;
     Count("durability.grants_denied");
-    Json reply = JsonObject{};
-    reply.Set("type", Json("no_job"));
-    reply.Set("retry_after", Json(durability_.degraded_retry_after));
+    Json reply = NoJobReply(durability_.degraded_retry_after);
     reply.Set("degraded", Json(true));
     return reply;
   }

@@ -265,9 +265,7 @@ struct NetServer::Loop {
       if (Telemetry* telemetry = server.options_.telemetry) {
         telemetry->Count("net.requests_shed");
       }
-      Json shed = JsonObject{};
-      shed.Set("type", Json("no_job"));
-      shed.Set("retry_after", Json(server.options_.shed_retry_after));
+      Json shed = NoJobReply(server.options_.shed_retry_after);
       shed.Set("shed", Json(true));
       Enqueue(conn, EncodeReply(conn, shed, now));
       return;
@@ -278,10 +276,7 @@ struct NetServer::Loop {
     try {
       reply = server.service_.HandleMessage(message, now);
     } catch (const std::exception& error) {
-      Json failure = JsonObject{};
-      failure.Set("type", Json("error"));
-      failure.Set("message", Json(std::string(error.what())));
-      reply = std::move(failure);
+      reply = ErrorReply(error.what());
     }
     ++server.messages_handled_;
     Enqueue(conn, EncodeReply(conn, reply, now));
@@ -292,10 +287,7 @@ struct NetServer::Loop {
     if (Telemetry* telemetry = server.options_.telemetry) {
       telemetry->Count("net.messages_rejected");
     }
-    Json reply = JsonObject{};
-    reply.Set("type", Json("error"));
-    reply.Set("message", Json(text));
-    Enqueue(conn, EncodeReply(conn, reply, now));
+    Enqueue(conn, EncodeReply(conn, ErrorReply(text), now));
   }
 
   void ProcessBinary(Connection& conn) {

@@ -73,7 +73,7 @@ struct ExecutorOptions {
   int prefetch = 0;
   /// Straggler/drop injection for this real backend (both disabled by
   /// default). See the hazard paragraph in the file comment.
-  HazardOptions hazards;
+  HazardOptions hazards{};
   /// Seed for the hazard stream (independent of the scheduler's stream);
   /// matches DriverOptions::seed's default so the same seed reproduces the
   /// simulator's fates.
@@ -81,7 +81,7 @@ struct ExecutorOptions {
   /// Base (virtual) duration fed to the hazard model for each job; null
   /// uses the job's resource increment (to - from), the simulator's
   /// convention for environments whose Duration is the resource delta.
-  std::function<double(const Job&)> hazard_duration;
+  std::function<double(const Job&)> hazard_duration{};
   /// Seconds of real injected delay per virtual hazard time unit. Zero (the
   /// default) injects only the accounting (drops); > 0 also sleeps the
   /// straggler inflation and the dropped jobs' partial runtimes.

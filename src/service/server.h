@@ -78,6 +78,15 @@ class LeaseEventSink {
   virtual void OnExpire(std::uint64_t job_id, double now) = 0;
 };
 
+/// The protocol's shared reply shapes, built once for every layer that
+/// answers a worker (the server, the study router, the durability layer,
+/// the TCP transport). Field order is fixed — type, then message or
+/// retry_after — because the strict codec and the goldens depend on it;
+/// callers append their flag ("stale", "shed", "degraded") after these.
+Json ErrorReply(const std::string& text);
+Json AckReply();
+Json NoJobReply(double retry_after);
+
 /// The transport-agnostic face of the tuning service: one protocol message
 /// in, one reply out, plus the idle-tick hook a timer drives so leases
 /// expire when no messages arrive. TuningServer and DurableServer both
@@ -123,7 +132,7 @@ struct ServerOptions {
   /// server emits carries a `"study"` argument so traces from co-hosted
   /// studies (src/study) can be told apart. Empty (the default) emits the
   /// exact single-tenant event shapes — the decision goldens depend on it.
-  std::string study_label;
+  std::string study_label{};
 };
 
 struct ServerStats {
@@ -242,9 +251,6 @@ class TuningServer : public MessageService {
   /// request paths. The protocol job id IS the lifecycle lease id.
   std::optional<std::pair<std::uint64_t, Job>> GrantLease(std::uint64_t worker,
                                                           double now);
-  Json NoJobReply() const;
-  static Json Error(const std::string& text);
-  static Json Ack();
 
   Scheduler& scheduler_;
   ServerOptions options_;

@@ -46,8 +46,7 @@ DriverResult SimulationDriver::RunLoop(Queue& queue, SimContext& context) {
                                 options.track_recommendations,
                             .emit_recommendation_events =
                                 options.track_recommendations,
-                            .record_runs = options.record_runs,
-                            .batch_telemetry = options.batch_telemetry});
+                            .record_runs = options.record_runs});
 
   const auto workers = static_cast<std::size_t>(options.num_workers);
   // Slots past the worker count keep their (stale) contents; resize only
@@ -133,7 +132,6 @@ DriverResult SimulationDriver::RunLoop(Queue& queue, SimContext& context) {
   result.jobs_dropped = lifecycle.lost_jobs();
   result.completions = lifecycle.TakeRecords();
   result.recommendations = lifecycle.TakeRecommendations();
-  lifecycle.FlushTelemetry();
   if (telemetry != nullptr) {
     auto& metrics = telemetry->metrics();
     if (result.jobs_in_flight > 0) {
@@ -166,8 +164,7 @@ DriverResult SimulationDriver::Run() {
 DriverResult SimulationDriver::Run(SimContext& context) {
   if (options_.event_queue == SimEngine::kCalendar) {
     context.calendar_.Reset(
-        {.expected_events = static_cast<std::size_t>(options_.num_workers),
-         .skip_ahead = options_.skip_ahead});
+        {.expected_events = static_cast<std::size_t>(options_.num_workers)});
     return RunLoop(context.calendar_, context);
   }
   context.heap_.Clear();

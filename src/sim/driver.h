@@ -53,16 +53,14 @@ struct DriverOptions {
   /// Optional observability sink (not owned; must outlive the run). The
   /// driver advances the sink's virtual clock to each event's virtual time
   /// before touching the scheduler, emits one span per job on the executing
-  /// worker's track plus recommendation-change instants, and fills
-  /// driver.* counters/gauges. With a virtual-clock sink and a fixed seed
-  /// the recorded trace is byte-identical across reruns.
+  /// worker's track plus recommendation-change instants as each job
+  /// resolves (the same immediate path the executor and server use, so the
+  /// sink is current mid-run), and fills driver.* counters/gauges. With a
+  /// virtual-clock sink and a fixed seed the recorded trace is
+  /// byte-identical across reruns.
   Telemetry* telemetry = nullptr;
   /// Event-queue engine; changes throughput, never decisions.
   SimEngine event_queue = SimEngine::kBinaryHeap;
-  /// Calendar engine only: when the current virtual "day" holds no due
-  /// event, jump the cursor straight to the next event instead of stepping
-  /// day by day across the idle gap.
-  bool skip_ahead = true;
   /// Keep one RunRecord per resolved job in DriverResult::completions.
   /// Throughput harnesses (bench/micro_sim) turn this off; counters and
   /// recommendations are unaffected.
@@ -71,11 +69,6 @@ struct DriverOptions {
   /// emit recommendation-change instants. Throughput harnesses turn this
   /// off to skip the per-completion Scheduler::Current() query.
   bool track_recommendations = true;
-  /// Defer span/instant emissions and counter bumps into a per-run buffer
-  /// flushed at sync points instead of paying Json assembly plus a tracer
-  /// lock per job (see EventTracer::BatchSource). Exports are
-  /// byte-identical to the unbatched path.
-  bool batch_telemetry = true;
 };
 
 struct DriverResult {

@@ -20,7 +20,6 @@ CalendarEventQueue::CalendarEventQueue(CalendarQueueOptions options) {
 }
 
 void CalendarEventQueue::Reset(CalendarQueueOptions options) {
-  skip_ahead_ = options.skip_ahead;
   std::size_t buckets = NextPow2(2 * options.expected_events);
   if (buckets < 16) buckets = 16;
   if (buckets > (std::size_t{1} << 16)) buckets = std::size_t{1} << 16;
@@ -92,13 +91,13 @@ void CalendarEventQueue::DirectSearch() const {
 
 void CalendarEventQueue::Locate() const {
   HT_CHECK(size_ > 0);
-  // Step the day cursor forward looking for a due event. Without
-  // skip-ahead this is the classic calendar-queue walk (direct search only
-  // after a full calendar wrap); with skip-ahead an idle gap triggers the
-  // direct jump after a couple of empty days.
-  const std::size_t max_empty_days = skip_ahead_ ? 2 : buckets_.size();
+  // Step the day cursor forward looking for a due event. Unlike the
+  // classic calendar-queue walk (direct search only after a full calendar
+  // wrap), an idle gap triggers the direct jump after a couple of empty
+  // days — the skip-ahead.
+  constexpr std::size_t kMaxEmptyDays = 2;
   std::uint64_t day = cur_day_;
-  for (std::size_t scanned = 0; scanned < max_empty_days; ++scanned, ++day) {
+  for (std::size_t scanned = 0; scanned < kMaxEmptyDays; ++scanned, ++day) {
     const auto& bucket = buckets_[day & mask_];
     bool found = false;
     std::size_t best = 0;

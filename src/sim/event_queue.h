@@ -9,9 +9,9 @@
 //   * BinaryEventHeap — a plain array binary min-heap; the safe default.
 //   * CalendarEventQueue — Brown's calendar queue: events hash into
 //     bucketed "days" by end time, so push and pop are O(1) when event
-//     times are spread evenly (the zero-cost-benchmark regime). A
-//     skip-ahead mode jumps the day cursor directly to the next event
-//     instead of stepping day by day across idle gaps.
+//     times are spread evenly (the zero-cost-benchmark regime). After two
+//     empty days it skips ahead, jumping the day cursor directly to the
+//     next event instead of stepping day by day across an idle gap.
 //
 // Both pop in exactly ascending (end, seq) order — `seq` is the driver's
 // FIFO tie-break for same-tick completions — and a property test
@@ -99,9 +99,6 @@ struct CalendarQueueOptions {
   /// Expected concurrent event count (the driver passes its worker count);
   /// the bucket count is sized to ~2x this, rounded up to a power of two.
   std::size_t expected_events = 64;
-  /// When the current day's bucket holds no due event, jump the cursor
-  /// straight to the global minimum instead of stepping day by day.
-  bool skip_ahead = true;
 };
 
 class CalendarEventQueue {
@@ -176,7 +173,6 @@ class CalendarEventQueue {
   // O(size), so doubling thresholds keep it amortized O(1) per push).
   std::size_t adapt_threshold_ = 64;
   std::size_t pushes_ = 0;  // trigger for the first (64-push-sample) tune
-  bool skip_ahead_ = true;
 
   // Top cache: position of the minimum event, valid until the next PopTop
   // (pushes keep it correct — they only append, and a new minimum simply

@@ -37,26 +37,6 @@ bool ValidStudyName(const std::string& name) {
 
 }  // namespace
 
-Json StudyManager::Error(const std::string& text) {
-  Json reply = JsonObject{};
-  reply.Set("type", Json("error"));
-  reply.Set("message", Json(text));
-  return reply;
-}
-
-Json StudyManager::Ack() {
-  Json reply = JsonObject{};
-  reply.Set("type", Json("ack"));
-  return reply;
-}
-
-Json StudyManager::NoJobReply() const {
-  Json reply = JsonObject{};
-  reply.Set("type", Json("no_job"));
-  reply.Set("retry_after", Json(options_.server.lease_timeout / 4));
-  return reply;
-}
-
 StudyManager::StudyManager(StudySchedulerFactory factory,
                            StudyManagerOptions options)
     : factory_(std::move(factory)), options_(std::move(options)) {
@@ -420,10 +400,12 @@ Json StudyManager::HandleScoped(const std::string& type, const Json& message,
   if (study == nullptr) {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.unknown_study_errors;
-    return Error("unknown study '" + study_name + "'");
+    return ErrorReply("unknown study '" + study_name + "'");
   }
   const bool is_request = type == "request_job" || type == "request_jobs";
-  if (is_request && study->suspended) return NoJobReply();
+  if (is_request && study->suspended) {
+    return NoJobReply(options_.server.lease_timeout / 4);
+  }
   if (is_request && study->max_leases > 0) {
     // Expire what is due before counting against the quota, so a worker is
     // never starved by leases that are already dead.
@@ -432,7 +414,7 @@ Json StudyManager::HandleScoped(const std::string& type, const Json& message,
     if (active >= study->max_leases) {
       std::lock_guard<std::mutex> stats_lock(stats_mu_);
       ++stats_.quota_denials;
-      return NoJobReply();
+      return NoJobReply(options_.server.lease_timeout / 4);
     }
     const std::size_t remaining = study->max_leases - active;
     if (type == "request_jobs") {
@@ -455,7 +437,7 @@ Json StudyManager::HandleScoped(const std::string& type, const Json& message,
 Json StudyManager::HandleAnyStudy(const std::string& type,
                                   const Json& message, double now) {
   if (type != "request_job" && type != "request_jobs") {
-    return Error("study '*' is only valid on job requests");
+    return ErrorReply("study '*' is only valid on job requests");
   }
   const auto worker =
       static_cast<std::uint64_t>(message.at("worker").AsInt());
@@ -516,7 +498,7 @@ Json StudyManager::HandleAnyStudy(const std::string& type,
     }
   }
 
-  if (granted == 0) return NoJobReply();
+  if (granted == 0) return NoJobReply(options_.server.lease_timeout / 4);
   if (type == "request_job") {
     const Json& entry = entries.AsArray().front();
     Json reply = JsonObject{};
@@ -564,7 +546,7 @@ Json StudyManager::HandleAdmin(const std::string& type, const Json& message,
   const std::string& name = message.at("study").AsString();
   if (type == "create_study") {
     if (!ValidStudyName(name)) {
-      return Error("invalid study name '" + name + "'");
+      return ErrorReply("invalid study name '" + name + "'");
     }
     std::optional<std::size_t> max_leases;
     if (message.Has("max_leases")) {
@@ -578,34 +560,34 @@ Json StudyManager::HandleAdmin(const std::string& type, const Json& message,
       Shard& shard = ShardFor(name);
       std::lock_guard<std::mutex> lock(shard.mu);
       if (FindLocked(shard, name) != nullptr) {
-        return Error("study '" + name + "' already exists");
+        return ErrorReply("study '" + name + "' already exists");
       }
     }
     if (!CreateStudy(name, config, now, max_leases)) {
       // The name was valid and free, so the factory said no.
-      return Error("config rejected for study '" + name + "'");
+      return ErrorReply("config rejected for study '" + name + "'");
     }
-    return Ack();
+    return AckReply();
   }
   if (type == "suspend_study") {
     if (!SuspendStudy(name, now)) {
-      return Error("unknown study '" + name + "'");
+      return ErrorReply("unknown study '" + name + "'");
     }
-    return Ack();
+    return AckReply();
   }
   if (type == "resume_study") {
     if (!ResumeStudy(name, now)) {
-      return Error("unknown study '" + name + "'");
+      return ErrorReply("unknown study '" + name + "'");
     }
-    return Ack();
+    return AckReply();
   }
   if (type == "delete_study") {
     if (!DeleteStudy(name, now)) {
-      return Error("unknown study '" + name + "'");
+      return ErrorReply("unknown study '" + name + "'");
     }
-    return Ack();
+    return AckReply();
   }
-  return Error("unknown message type '" + type + "'");
+  return ErrorReply("unknown message type '" + type + "'");
 }
 
 Json StudyManager::HandleMessage(const Json& message, double now) {
@@ -624,7 +606,7 @@ Json StudyManager::HandleMessage(const Json& message, double now) {
   } catch (const std::exception& error) {
     // Same resilience contract as TuningServer: a hostile payload earns an
     // error reply, never a dead service.
-    return Error(error.what());
+    return ErrorReply(error.what());
   }
 }
 

@@ -24,12 +24,11 @@ namespace {
 // event, then push a few new events at or after the popped time (the
 // monotone-time precondition the driver guarantees). Quantized end times
 // force frequent same-tick ties that only the seq number breaks.
-void CheckIdenticalPopOrder(std::uint64_t seed, bool skip_ahead,
-                            std::size_t expected_events, bool quantize) {
+void CheckIdenticalPopOrder(std::uint64_t seed, std::size_t expected_events,
+                            bool quantize) {
   Rng rng(seed);
   BinaryEventHeap heap;
-  CalendarEventQueue calendar(
-      {.expected_events = expected_events, .skip_ahead = skip_ahead});
+  CalendarEventQueue calendar({.expected_events = expected_events});
 
   std::uint64_t seq = 0;
   double now = 0;
@@ -65,8 +64,7 @@ void CheckIdenticalPopOrder(std::uint64_t seed, bool skip_ahead,
 
 TEST(EventQueueProperty, HeapAndCalendarPopIdentically) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    CheckIdenticalPopOrder(seed, /*skip_ahead=*/true, /*expected_events=*/64,
-                           /*quantize=*/false);
+    CheckIdenticalPopOrder(seed, /*expected_events=*/64, /*quantize=*/false);
   }
 }
 
@@ -74,22 +72,17 @@ TEST(EventQueueProperty, SameTickTiesBreakBySeq) {
   // Quantized ends put many events on the same instant; FIFO seq order is
   // the only thing separating them.
   for (std::uint64_t seed = 10; seed <= 17; ++seed) {
-    CheckIdenticalPopOrder(seed, /*skip_ahead=*/true, /*expected_events=*/16,
-                           /*quantize=*/true);
+    CheckIdenticalPopOrder(seed, /*expected_events=*/16, /*quantize=*/true);
   }
-}
-
-TEST(EventQueueProperty, SkipAheadOffPopsIdentically) {
-  CheckIdenticalPopOrder(21, /*skip_ahead=*/false, /*expected_events=*/64,
-                         /*quantize=*/false);
-  CheckIdenticalPopOrder(22, /*skip_ahead=*/false, /*expected_events=*/4,
-                         /*quantize=*/true);
+  // A calendar sized well below the live event count wraps its year
+  // often, so each bucket mixes the events of several days.
+  CheckIdenticalPopOrder(22, /*expected_events=*/4, /*quantize=*/true);
 }
 
 TEST(EventQueue, CalendarHandlesWideIdleGaps) {
   // Sparse ends that jump far past the calendar's adapted year exercise
   // the skip-ahead / direct-search path.
-  CalendarEventQueue calendar({.expected_events = 4, .skip_ahead = true});
+  CalendarEventQueue calendar({.expected_events = 4});
   BinaryEventHeap heap;
   double now = 0;
   for (std::uint64_t seq = 0; seq < 200; ++seq) {
@@ -171,8 +164,7 @@ struct EngineRun {
   std::string jsonl;
 };
 
-EngineRun RunAsha(SimEngine engine, bool batch, int workers,
-                  std::size_t max_jobs = 0) {
+EngineRun RunAsha(SimEngine engine, int workers, std::size_t max_jobs = 0) {
   AshaScheduler scheduler(MakeRandomSampler(UnitSpace()), SmallAsha());
   LinearEnv env;
   auto telemetry = Telemetry::ForSimulation();
@@ -180,7 +172,6 @@ EngineRun RunAsha(SimEngine engine, bool batch, int workers,
   options.num_workers = workers;
   options.telemetry = telemetry.get();
   options.event_queue = engine;
-  options.batch_telemetry = batch;
   options.max_completed_jobs = max_jobs;
   SimulationDriver driver(scheduler, env, options);
   EngineRun run;
@@ -212,23 +203,16 @@ void ExpectSameDecisions(const EngineRun& a, const EngineRun& b) {
 
 TEST(EngineEquivalence, CalendarMatchesHeapByteForByte) {
   for (const int workers : {1, 4, 16}) {
-    const EngineRun heap = RunAsha(SimEngine::kBinaryHeap, true, workers);
-    const EngineRun calendar = RunAsha(SimEngine::kCalendar, true, workers);
+    const EngineRun heap = RunAsha(SimEngine::kBinaryHeap, workers);
+    const EngineRun calendar = RunAsha(SimEngine::kCalendar, workers);
     ExpectSameDecisions(heap, calendar);
   }
-}
-
-TEST(EngineEquivalence, BatchedTelemetryMatchesUnbatched) {
-  const EngineRun batched = RunAsha(SimEngine::kBinaryHeap, true, 8);
-  const EngineRun unbatched = RunAsha(SimEngine::kBinaryHeap, false, 8);
-  ExpectSameDecisions(batched, unbatched);
 }
 
 TEST(StrandedAccounting, InFlightJobsAreCountedNotDropped) {
   // Cap completions mid-run with several workers: the jobs still occupying
   // workers at the stop are in flight — not completed, not dropped.
-  const EngineRun run =
-      RunAsha(SimEngine::kBinaryHeap, true, 8, /*max_jobs=*/10);
+  const EngineRun run = RunAsha(SimEngine::kBinaryHeap, 8, /*max_jobs=*/10);
   EXPECT_EQ(run.result.jobs_completed, 10u);
   EXPECT_GT(run.result.jobs_in_flight, 0u);
   EXPECT_LE(run.result.jobs_in_flight, 7u);  // at most workers - 1
@@ -237,7 +221,7 @@ TEST(StrandedAccounting, InFlightJobsAreCountedNotDropped) {
 }
 
 TEST(StrandedAccounting, DrainedRunHasNoInFlightJobs) {
-  const EngineRun run = RunAsha(SimEngine::kCalendar, true, 4);
+  const EngineRun run = RunAsha(SimEngine::kCalendar, 4);
   EXPECT_EQ(run.result.jobs_in_flight, 0u);
   EXPECT_GT(run.result.jobs_completed, 0u);
 }

@@ -218,6 +218,69 @@ TEST(Telemetry, SimulationCountsMatchDriverResult) {
   EXPECT_LT(max_tid, 8);
 }
 
+/// Forwards to a real scheduler and, inside each ReportResult, records what
+/// the telemetry sink holds at that moment.
+class ReportSpy final : public Scheduler {
+ public:
+  ReportSpy(Scheduler& inner, Telemetry& telemetry)
+      : inner_(inner), telemetry_(telemetry) {}
+
+  std::optional<Job> GetJob() override { return inner_.GetJob(); }
+  void ReportResult(const Job& job, double loss) override {
+    std::size_t spans = 0;
+    for (const TraceEvent& event : telemetry_.tracer().Events()) {
+      spans += event.IsSpan() ? 1 : 0;
+    }
+    spans_seen.push_back(spans);
+    completed_seen.push_back(
+        telemetry_.metrics().counter("driver.jobs_completed").value());
+    inner_.ReportResult(job, loss);
+  }
+  void ReportLost(const Job& job) override { inner_.ReportLost(job); }
+  bool Finished() const override { return inner_.Finished(); }
+  std::optional<Recommendation> Current() const override {
+    return inner_.Current();
+  }
+  const TrialBank& trials() const override { return inner_.trials(); }
+  std::string name() const override { return "spy"; }
+
+  std::vector<std::size_t> spans_seen;
+  std::vector<std::int64_t> completed_seen;
+
+ private:
+  Scheduler& inner_;
+  Telemetry& telemetry_;
+};
+
+TEST(Telemetry, SimulationTelemetryIsLiveMidRun) {
+  // The simulator emits each job span and counter bump as the job resolves,
+  // so a reader mid-run (here: the scheduler itself) sees every earlier job.
+  AshaOptions options;
+  options.r = 1;
+  options.R = 16;
+  options.eta = 4;
+  options.max_trials = 32;
+  AshaScheduler asha(MakeRandomSampler(UnitSpace()), options);
+  auto telemetry = Telemetry::ForSimulation();
+  ReportSpy spy(asha, *telemetry);
+
+  RankEnv env;
+  DriverOptions driver_options;
+  driver_options.num_workers = 4;
+  driver_options.telemetry = telemetry.get();
+  SimulationDriver driver(spy, env, driver_options);
+  const DriverResult result = driver.Run();
+
+  ASSERT_EQ(result.jobs_dropped, 0u);
+  ASSERT_EQ(spy.spans_seen.size(), result.jobs_completed);
+  ASSERT_GT(result.jobs_completed, 1u);
+  for (std::size_t k = 1; k <= spy.spans_seen.size(); ++k) {
+    EXPECT_EQ(spy.spans_seen[k - 1], k - 1) << "report " << k;
+    EXPECT_EQ(spy.completed_seen[k - 1], static_cast<std::int64_t>(k - 1))
+        << "report " << k;
+  }
+}
+
 TEST(Telemetry, ExecutorEmitsSpansAndHistograms) {
   AshaOptions options;
   options.r = 1;

@@ -1,10 +1,10 @@
 // hypertune_cli — run any tuner against any surrogate benchmark from the
 // command line and print (and optionally export) the aggregated results.
 //
-// Examples:
-//   hypertune_cli --benchmark=cifar_arch --tuner=asha --workers=25 \
+// Examples (each one command, wrapped):
+//   hypertune_cli --benchmark=cifar_arch --tuner=asha --workers=25
 //                 --time=150 --trials=5
-//   hypertune_cli --benchmark=ptb_lstm --tuner=vizier --workers=500 \
+//   hypertune_cli --benchmark=ptb_lstm --tuner=vizier --workers=500
 //                 --time-in-r=6 --out=/tmp/ptb.json
 //   hypertune_cli --list
 //
