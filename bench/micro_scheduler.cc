@@ -4,6 +4,8 @@
 // one tuner process can feed.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bo/gp.h"
 #include "bo/tpe.h"
 #include "core/asha.h"
@@ -68,6 +70,27 @@ void BM_RungRecordAndQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RungRecordAndQuery);
+
+// ASHA's bottom rung at sweep scale: 80k results at eta = 4, each followed
+// by a promotion query, promoting whatever is promotable — the record /
+// promote interleaving a 64-worker sweep cell drives.
+void BM_RungRecordAndPromoteSweepScale(benchmark::State& state) {
+  constexpr std::size_t kRecords = 80000;
+  Rng rng(3);
+  std::vector<double> losses(kRecords);
+  for (double& loss : losses) loss = rng.Uniform();
+  for (auto _ : state) {
+    Rung rung;
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      rung.Record(static_cast<TrialId>(i), losses[i]);
+      if (const auto id = rung.FirstPromotable(4.0)) rung.MarkPromoted(*id);
+    }
+    benchmark::DoNotOptimize(rung.NumPromoted());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRecords));
+}
+BENCHMARK(BM_RungRecordAndPromoteSweepScale)->Unit(benchmark::kMillisecond);
 
 void BM_TpeSample(benchmark::State& state) {
   SearchSpace space;

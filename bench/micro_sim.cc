@@ -6,13 +6,20 @@
 //
 //   BM_SimJobThroughput/<workers>/<engine>   engine: 0 heap, 1 calendar
 //   BM_SimJobThroughputTraced/<workers>      calendar, every span traced
+//   BM_EventQueueAshaLadder/<engine>         64 live events, ASHA-like
+//                                            4^k duration ladder; the
+//                                            calendar row counts its
+//                                            direct-search fallbacks
 //   BM_TableLookup                           raw Loss+Duration lookups
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
+#include "common/rng.h"
 #include "sim/driver.h"
+#include "sim/event_queue.h"
 #include "surrogate/table.h"
 #include "telemetry/telemetry.h"
 
@@ -140,6 +147,53 @@ void BM_SimJobThroughputTraced(benchmark::State& state) {
 BENCHMARK(BM_SimJobThroughputTraced)
     ->Arg(512)
     ->Unit(benchmark::kMillisecond);
+
+// Successive halving's completion mix at a fixed fleet of 64 workers: the
+// queue starts with 64 rung-0 jobs of similar length, then each pop is
+// followed by one push whose job is rung k (4^k times longer, k <= 4) with
+// probability ~4^-k. Iterations continue one simulation, so after the
+// first they measure the steady state.
+template <typename Queue>
+void DrainAshaLadder(benchmark::State& state, Queue& queue,
+                     const std::vector<double>& durations) {
+  constexpr std::uint32_t kLive = 64;
+  std::uint64_t seq = 0;
+  for (std::uint32_t slot = 0; slot < kLive; ++slot, ++seq) {
+    queue.Push({0.5 + static_cast<double>(slot) / kLive, seq, slot});
+  }
+  for (auto _ : state) {
+    for (const double duration : durations) {
+      const SimEvent top = queue.Top();
+      queue.PopTop();
+      queue.Push({top.end + duration, seq++, top.slot});
+    }
+    benchmark::DoNotOptimize(queue.Top());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(durations.size()));
+}
+
+void BM_EventQueueAshaLadder(benchmark::State& state) {
+  Rng rng(7);
+  std::vector<double> durations(std::size_t{1} << 16);
+  for (double& duration : durations) {
+    duration = rng.Uniform(0.5, 1.5);
+    for (int rung = 0; rung < 4 && rng.Bernoulli(0.25); ++rung) {
+      duration *= 4.0;
+    }
+  }
+  if (state.range(0) == 0) {
+    BinaryEventHeap heap;
+    DrainAshaLadder(state, heap, durations);
+  } else {
+    CalendarEventQueue calendar({.expected_events = 64});
+    DrainAshaLadder(state, calendar, durations);
+    state.counters["direct_search_pct"] =
+        100.0 * static_cast<double>(calendar.direct_searches()) /
+        static_cast<double>(state.iterations() * durations.size());
+  }
+}
+BENCHMARK(BM_EventQueueAshaLadder)->Arg(0)->Arg(1);
 
 void BM_TableLookup(benchmark::State& state) {
   TabularBenchmark environment{MakeTable()};

@@ -1,124 +1,155 @@
 #include "core/rung.h"
 
-#include <cmath>
-#include <limits>
+#include <algorithm>
+#include <functional>
 
 #include "common/check.h"
 
 namespace hypertune {
 
+namespace {
+
+// `top_` is a max-heap (std::less); `rest_` and `candidates_` are
+// min-heaps (std::greater).
+using MaxFirst = std::less<Rung::Entry>;
+using MinFirst = std::greater<Rung::Entry>;
+
+template <typename Compare>
+void HeapPush(std::vector<Rung::Entry>& heap, const Rung::Entry& entry) {
+  heap.push_back(entry);
+  std::push_heap(heap.begin(), heap.end(), Compare{});
+}
+
+template <typename Compare>
+Rung::Entry HeapPop(std::vector<Rung::Entry>& heap) {
+  std::pop_heap(heap.begin(), heap.end(), Compare{});
+  const Rung::Entry front = heap.back();
+  heap.pop_back();
+  return front;
+}
+
+std::size_t CandidateCount(std::size_t recorded, double eta) {
+  return static_cast<std::size_t>(static_cast<double>(recorded) / eta);
+}
+
+}  // namespace
+
 void Rung::RebuildIndex(double eta) const {
   eta_ = eta;
-  k_ = static_cast<std::size_t>(static_cast<double>(results_.size()) / eta);
-  boundary_ = results_.begin();
-  promotable_set_.clear();
-  for (std::size_t i = 0; i < k_; ++i) {
-    if (!promoted_.contains(boundary_->second)) {
-      promotable_set_.insert(*boundary_);
-    }
-    ++boundary_;
+  const std::size_t k = CandidateCount(entries_.size(), eta);
+  top_.assign(entries_.begin(), entries_.end());
+  if (k < top_.size()) {
+    std::nth_element(top_.begin(), top_.begin() + static_cast<long>(k),
+                     top_.end());
   }
+  rest_.assign(top_.begin() + static_cast<long>(k), top_.end());
+  top_.resize(k);
+  std::make_heap(top_.begin(), top_.end(), MaxFirst{});
+  std::make_heap(rest_.begin(), rest_.end(), MinFirst{});
+  candidates_.clear();
+  for (const Entry& entry : top_) {
+    if (!promoted_.at(entry.second)) candidates_.push_back(entry);
+  }
+  std::make_heap(candidates_.begin(), candidates_.end(), MinFirst{});
   index_valid_ = true;
 }
 
-bool Rung::InPrefix(const std::pair<double, TrialId>& entry) const {
-  if (k_ == 0) return false;
-  if (boundary_ == results_.end()) return true;  // prefix covers everything
-  return entry < *boundary_;
-}
-
 void Rung::Record(TrialId id, double loss) {
-  HT_CHECK_MSG(!Contains(id), "trial " << id << " already recorded in rung");
-  const std::pair<double, TrialId> entry{loss, id};
-  results_.insert(entry);
-  recorded_.emplace(id, loss);
+  const bool inserted = promoted_.try_emplace(id, false).second;
+  HT_CHECK_MSG(inserted, "trial " << id << " already recorded in rung");
+  const Entry entry{loss, id};
+  entries_.push_back(entry);
+  if (entries_.size() == 1 || entry < best_) best_ = entry;
   if (!index_valid_) return;
 
-  if (k_ == 0) {
-    // Empty prefix: keep the boundary at rank 0.
-    boundary_ = results_.begin();
-  } else if (InPrefix(entry)) {
-    // The new entry displaced the old rank-(k_-1) element out of the prefix
-    // (or is itself the new rank-k_ element). Either way the new boundary is
-    // the predecessor of the old one, and the element now *at* the boundary
-    // left the candidate set.
-    --boundary_;
-    promotable_set_.insert(entry);  // new (unpromoted) entry joins the prefix
-    promotable_set_.erase(*boundary_);  // the boundary element leaves it
-  }
-
-  // k = floor(n / eta) can grow by one; the boundary element then joins the
-  // candidate set.
-  const auto new_k = static_cast<std::size_t>(
-      static_cast<double>(results_.size()) / eta_);
-  if (new_k == k_ + 1) {
-    HT_CHECK(boundary_ != results_.end());
-    if (!promoted_.contains(boundary_->second)) {
-      promotable_set_.insert(*boundary_);
+  // k = floor(n / eta) grows by at most one per record (eta >= 2).
+  const bool grows = CandidateCount(entries_.size(), eta_) > top_.size();
+  if (!top_.empty() && entry < top_.front()) {
+    // The new (unpromoted) entry joins the best k; unless k grew, top's
+    // old max leaves it, and its copy in candidates_ is pruned lazily.
+    HeapPush<MaxFirst>(top_, entry);
+    HeapPush<MinFirst>(candidates_, entry);
+    if (!grows) HeapPush<MinFirst>(rest_, HeapPop<MaxFirst>(top_));
+  } else {
+    HeapPush<MinFirst>(rest_, entry);
+    if (grows) {
+      const Entry joined = HeapPop<MinFirst>(rest_);
+      HeapPush<MaxFirst>(top_, joined);
+      if (!promoted_.at(joined.second)) {
+        HeapPush<MinFirst>(candidates_, joined);
+      }
     }
-    ++boundary_;
-    k_ = new_k;
   }
 }
 
 void Rung::MarkPromoted(TrialId id) {
-  const auto it = recorded_.find(id);
-  HT_CHECK_MSG(it != recorded_.end(), "promoting trial " << id
-                                                         << " not in rung");
-  const bool inserted = promoted_.insert(id).second;
-  HT_CHECK_MSG(inserted, "trial " << id << " promoted twice");
-  if (index_valid_) {
-    const std::pair<double, TrialId> entry{it->second, id};
-    if (InPrefix(entry)) {
-      const auto erased = promotable_set_.erase(entry);
-      HT_CHECK(erased == 1);
+  const auto it = promoted_.find(id);
+  HT_CHECK_MSG(it != promoted_.end(), "promoting trial " << id
+                                                          << " not in rung");
+  HT_CHECK_MSG(!it->second, "trial " << id << " promoted twice");
+  it->second = true;
+  ++num_promoted_;
+  // candidates_ drops the entry lazily (FrontCandidate).
+}
+
+bool Rung::IsPromoted(TrialId id) const {
+  const auto it = promoted_.find(id);
+  return it != promoted_.end() && it->second;
+}
+
+const Rung::Entry* Rung::FrontCandidate() const {
+  // A candidate is live iff it is still among the best k (<= top's max;
+  // (loss, id) is a total order, so this is exact) and unpromoted.
+  while (!candidates_.empty()) {
+    const Entry& front = candidates_.front();
+    if (!(top_.front() < front) && !promoted_.at(front.second)) {
+      return &front;
     }
+    HeapPop<MinFirst>(candidates_);
   }
+  return nullptr;
 }
 
 std::optional<TrialId> Rung::FirstPromotable(double eta) const {
   HT_CHECK(eta >= 2.0);
   if (!index_valid_ || eta_ != eta) RebuildIndex(eta);
-  if (promotable_set_.empty()) return std::nullopt;
-  return promotable_set_.begin()->second;
+  const Entry* front = FrontCandidate();
+  if (front == nullptr) return std::nullopt;
+  return front->second;
 }
 
 bool Rung::HasPromotable(double eta) const {
   HT_CHECK(eta >= 2.0);
   if (!index_valid_ || eta_ != eta) RebuildIndex(eta);
-  return !promotable_set_.empty();
+  return FrontCandidate() != nullptr;
 }
 
 std::vector<TrialId> Rung::PromotableTrials(double eta) const {
   HT_CHECK(eta >= 2.0);
-  const auto k = static_cast<std::size_t>(
-      static_cast<double>(results_.size()) / eta);
+  const std::vector<Entry> sorted = results();
+  const std::size_t k = CandidateCount(sorted.size(), eta);
   std::vector<TrialId> out;
-  std::size_t seen = 0;
-  for (const auto& [loss, id] : results_) {
-    if (seen++ >= k) break;
-    if (!promoted_.contains(id)) out.push_back(id);
+  for (std::size_t i = 0; i < k; ++i) {
+    if (!promoted_.at(sorted[i].second)) out.push_back(sorted[i].second);
   }
   return out;
 }
 
 std::vector<TrialId> Rung::TopK(std::size_t k) const {
+  std::vector<Entry> best = entries_;
+  k = std::min(k, best.size());
+  std::partial_sort(best.begin(), best.begin() + static_cast<long>(k),
+                    best.end());
   std::vector<TrialId> out;
-  out.reserve(std::min(k, results_.size()));
-  for (const auto& [loss, id] : results_) {
-    if (out.size() >= k) break;
-    out.push_back(id);
-  }
+  out.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) out.push_back(best[i].second);
   return out;
 }
 
-double Rung::BestLoss() const {
-  return results_.empty() ? std::numeric_limits<double>::infinity()
-                          : results_.begin()->first;
-}
-
-TrialId Rung::BestTrial() const {
-  return results_.empty() ? TrialId{-1} : results_.begin()->second;
+std::vector<Rung::Entry> Rung::results() const {
+  std::vector<Entry> sorted = entries_;
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
 }
 
 }  // namespace hypertune

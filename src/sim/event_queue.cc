@@ -35,6 +35,8 @@ void CalendarEventQueue::Reset(CalendarQueueOptions options) {
   size_ = 0;
   adapt_threshold_ = 64;
   pushes_ = 0;
+  misses_ = 0;
+  direct_searches_ = 0;
   cache_valid_ = false;
 }
 
@@ -47,6 +49,7 @@ void CalendarEventQueue::FailBelowFloor(double end) const {
 
 void CalendarEventQueue::AdaptWidth() {
   adapt_threshold_ = 2 * size_;
+  misses_ = 0;
   if (size_ < 2) return;
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
@@ -74,6 +77,8 @@ void CalendarEventQueue::AdaptWidth() {
 }
 
 void CalendarEventQueue::DirectSearch() const {
+  ++misses_;
+  ++direct_searches_;
   const SimEvent* best = nullptr;
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     for (std::size_t i = 0; i < buckets_[b].size(); ++i) {

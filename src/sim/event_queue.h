@@ -11,7 +11,11 @@
 //     bucketed "days" by end time, so push and pop are O(1) when event
 //     times are spread evenly (the zero-cost-benchmark regime). After two
 //     empty days it skips ahead, jumping the day cursor directly to the
-//     next event instead of stepping day by day across an idle gap.
+//     next event instead of stepping day by day across an idle gap. The
+//     day width is re-tuned from the pending events' spread on the first
+//     64 pushes, when the live count doubles, and when skip-ahead keeps
+//     firing (the width went stale, e.g. once successive halving starts
+//     promoting jobs 4-256x longer than the rung-0 jobs it was tuned on).
 //
 // Both pop in exactly ascending (end, seq) order — `seq` is the driver's
 // FIFO tie-break for same-tick completions — and a property test
@@ -114,7 +118,11 @@ class CalendarEventQueue {
   // out of line.
   void Push(const SimEvent& event) {
     if (!(event.end >= floor_)) [[unlikely]] FailBelowFloor(event.end);
-    if (size_ >= adapt_threshold_ || ++pushes_ == 64) AdaptWidth();
+    if (size_ >= adapt_threshold_ || ++pushes_ == 64 ||
+        (misses_ >= kMinMissesToRetune && 4 * misses_ >= size_))
+        [[unlikely]] {
+      AdaptWidth();
+    }
     const std::size_t bucket = DayOf(event.end) & mask_;
     buckets_[bucket].push_back(event);
     ++size_;
@@ -147,7 +155,17 @@ class CalendarEventQueue {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
+  /// Top lookups (at most one per pop) that fell through to the
+  /// O(buckets + events) direct search since the last Reset.
+  std::size_t direct_searches() const { return direct_searches_; }
+
  private:
+  // Skip-ahead re-tunes the width once this many direct searches have
+  // piled up since the last tune and they number >= size/4. Each re-tune
+  // costs O(size + buckets), no more than the direct searches that
+  // triggered it, so the trigger never more than doubles their cost.
+  static constexpr std::size_t kMinMissesToRetune = 16;
+
   std::uint64_t DayOf(double end) const {
     const double day = end / width_;
     // Events beyond the representable day range all land on the last day;
@@ -160,7 +178,7 @@ class CalendarEventQueue {
   [[noreturn]] void FailBelowFloor(double end) const;  // cold path
   void Locate() const;        // fills the top cache
   void DirectSearch() const;  // global min scan (the skip-ahead jump)
-  void AdaptWidth();          // width re-tuning, run on size doublings
+  void AdaptWidth();          // width re-tuning (see Push for triggers)
 
   std::vector<std::vector<SimEvent>> buckets_;
   std::size_t mask_ = 0;       // buckets_.size() - 1 (power of two)
@@ -173,6 +191,8 @@ class CalendarEventQueue {
   // O(size), so doubling thresholds keep it amortized O(1) per push).
   std::size_t adapt_threshold_ = 64;
   std::size_t pushes_ = 0;  // trigger for the first (64-push-sample) tune
+  mutable std::size_t misses_ = 0;  // direct searches since the last tune
+  mutable std::size_t direct_searches_ = 0;  // since Reset
 
   // Top cache: position of the minimum event, valid until the next PopTop
   // (pushes keep it correct — they only append, and a new minimum simply

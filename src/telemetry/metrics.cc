@@ -43,6 +43,12 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return *slot;
 }
 
+std::int64_t MetricsRegistry::CounterValue(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second->value();
+}
+
 Gauge& MetricsRegistry::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = gauges_[name];

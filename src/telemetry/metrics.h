@@ -83,6 +83,10 @@ class MetricsRegistry {
   /// registry's lifetime (instruments are never removed), so hot paths
   /// should look up once and cache the pointer.
   Counter& counter(const std::string& name);
+  /// The named counter's value, or 0 when no such counter exists. Unlike
+  /// counter(), never registers: read-only observers (tests, ops surfaces)
+  /// leave the snapshot as they found it.
+  std::int64_t CounterValue(const std::string& name) const;
   Gauge& gauge(const std::string& name);
   /// `upper_bounds` is used on first creation only; later calls with the
   /// same name return the existing histogram regardless of bounds.

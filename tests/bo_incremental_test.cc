@@ -260,8 +260,8 @@ TEST(Gp, TelemetryCountsFitPaths) {
   gp.Append(x[0], y[0]);  // one more rank-1 update
 
   auto& metrics = telemetry->metrics();
-  EXPECT_EQ(metrics.counter("bo.fit_full").value(), 1);
-  EXPECT_EQ(metrics.counter("bo.fit_rank1").value(), 5);
+  EXPECT_EQ(metrics.CounterValue("bo.fit_full"), 1);
+  EXPECT_EQ(metrics.CounterValue("bo.fit_rank1"), 5);
   EXPECT_EQ(
       metrics.histogram("bo.fit_seconds", ExponentialBuckets(1e-5, 4.0, 12))
           .count(),

@@ -524,9 +524,9 @@ TEST(NetMalformed, TelemetryCountsFrameErrors) {
   }
   ASSERT_TRUE(WaitFor([&] { return net.stats().frames_bad_magic >= 1; }));
   net.Stop();
-  EXPECT_EQ(telemetry.metrics().counter("net.frame_bad_magic").value(), 1);
-  EXPECT_EQ(telemetry.metrics().counter("server.malformed_frames").value(), 1);
-  EXPECT_EQ(telemetry.metrics().counter("net.messages_rejected").value(), 1);
+  EXPECT_EQ(telemetry.metrics().CounterValue("net.frame_bad_magic"), 1);
+  EXPECT_EQ(telemetry.metrics().CounterValue("server.malformed_frames"), 1);
+  EXPECT_EQ(telemetry.metrics().CounterValue("net.messages_rejected"), 1);
 }
 
 // --- Graceful shutdown -> worker backoff ---

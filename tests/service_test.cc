@@ -541,7 +541,7 @@ TEST(Service, WorkerBacksOffWhileServerIsDown) {
   worker.OnTick(static_cast<ServerConnection&>(connection), 7.0);
   EXPECT_DOUBLE_EQ(worker.next_action_time(), 11.0);  // capped at 4
   EXPECT_EQ(worker.retries(), 4u);
-  EXPECT_EQ(telemetry->metrics().counter("service.worker_retries").value(),
+  EXPECT_EQ(telemetry->metrics().CounterValue("service.worker_retries"),
             4);
 
   // The server comes back: the very next attempt succeeds and the backoff

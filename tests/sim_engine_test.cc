@@ -105,6 +105,50 @@ TEST(EventQueue, CalendarHandlesWideIdleGaps) {
   EXPECT_TRUE(calendar.empty());
 }
 
+TEST(EventQueue, CalendarRetunesOnAshaDurationLadder) {
+  // Successive halving's job mix at a fixed fleet: the first 64 jobs are
+  // rung-0 jobs of similar length; afterwards promotions bring jobs
+  // 4^k = 4..256x longer (rung k drawn with probability ~4^-k). A day width
+  // tuned on the rung-0 sample leaves most days empty once the long jobs
+  // arrive, and the live count never doubles to trigger a re-tune; the
+  // queue must notice the skip-ahead misses and re-tune instead of falling
+  // back to the O(buckets + events) direct search on most pops.
+  constexpr std::size_t kLive = 64;
+  constexpr std::size_t kPops = 60000;
+  Rng rng(31);
+  BinaryEventHeap heap;
+  CalendarEventQueue calendar({.expected_events = kLive});
+  std::uint64_t seq = 0;
+  double now = 0;
+  auto push_one = [&](bool rung0_only) {
+    double duration = rng.Uniform(0.5, 1.5);
+    for (int rung = 0; !rung0_only && rung < 4 && rng.Bernoulli(0.25);
+         ++rung) {
+      duration *= 4.0;
+    }
+    const SimEvent event{now + duration, seq,
+                         static_cast<std::uint32_t>(seq % kLive)};
+    ++seq;
+    heap.Push(event);
+    calendar.Push(event);
+  };
+  for (std::size_t i = 0; i < kLive; ++i) push_one(/*rung0_only=*/true);
+  for (std::size_t popped = 0; popped < kPops; ++popped) {
+    const SimEvent a = heap.Top();
+    const SimEvent b = calendar.Top();
+    ASSERT_EQ(a.end, b.end) << "pop " << popped;
+    ASSERT_EQ(a.seq, b.seq) << "pop " << popped;
+    ASSERT_EQ(a.slot, b.slot) << "pop " << popped;
+    heap.PopTop();
+    calendar.PopTop();
+    now = a.end;
+    push_one(/*rung0_only=*/false);
+  }
+  EXPECT_EQ(calendar.size(), kLive);
+  EXPECT_LE(calendar.direct_searches(), kPops / 100)
+      << "direct-search fallbacks out of " << kPops << " pops";
+}
+
 TEST(EventQueue, CalendarRejectsPushBelowFloor) {
   CalendarEventQueue calendar({.expected_events = 4});
   calendar.Push({10.0, 0, 0});
@@ -237,7 +281,7 @@ TEST(StrandedAccounting, StrandedCounterMatchesResult) {
   SimulationDriver driver(scheduler, env, options);
   const DriverResult result = driver.Run();
   ASSERT_GT(result.jobs_in_flight, 0u);
-  EXPECT_EQ(telemetry->metrics().counter("driver.jobs_stranded").value(),
+  EXPECT_EQ(telemetry->metrics().CounterValue("driver.jobs_stranded"),
             static_cast<std::int64_t>(result.jobs_in_flight));
 }
 

@@ -7,6 +7,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "core/asha.h"
@@ -325,6 +327,48 @@ TEST(SnapshotFamily, KeepInFlightPreservesOpenJobs) {
   const auto job_b = *restored.GetJob();
   EXPECT_EQ(job_a.trial_id, job_b.trial_id);
   EXPECT_EQ(job_a.config, job_b.config);
+}
+
+// Runs `scheduler` with up to eight jobs in flight (the oldest reported
+// first) on a loss with many exact ties, snapshots it mid-run, restores
+// the text into `restored` keeping the open jobs, and requires the
+// restored scheduler's snapshot to be byte-identical to the original's.
+void ExpectMidRunSnapshotRoundTrip(Scheduler& scheduler, Scheduler& restored,
+                                   int steps) {
+  std::vector<Job> open;
+  for (int step = 0; step < steps; ++step) {
+    if (auto job = scheduler.GetJob()) open.push_back(std::move(*job));
+    if (open.size() >= 8 || (!open.empty() && step % 3 == 0)) {
+      const Job job = open.front();
+      open.erase(open.begin());
+      const double x = scheduler.trials().Get(job.trial_id).config.GetDouble(
+          "x");
+      scheduler.ReportResult(job, 0.125 * static_cast<int>(8 * x));
+    }
+  }
+  ASSERT_FALSE(open.empty());
+  const std::string text = scheduler.Snapshot().Dump();
+  restored.Restore(Json::Parse(text), RestorePolicy::kKeepInFlight);
+  EXPECT_EQ(restored.Snapshot().Dump(), text);
+}
+
+TEST(SnapshotFamily, AshaMidRunSnapshotRoundTripsByteIdentically) {
+  AshaScheduler original(MakeRandomSampler(UnitSpace()), ToyOptions());
+  AshaScheduler restored(MakeRandomSampler(UnitSpace()), ToyOptions());
+  ExpectMidRunSnapshotRoundTrip(original, restored, /*steps=*/600);
+  EXPECT_GT(original.rung(0).NumPromoted(), 0u);
+}
+
+TEST(SnapshotFamily, ShaMidRunSnapshotRoundTripsByteIdentically) {
+  ShaOptions options;
+  options.n = 27;
+  options.r = 1;
+  options.R = 27;
+  options.eta = 3;
+  options.seed = 5;
+  SyncShaScheduler original(MakeRandomSampler(UnitSpace()), options);
+  SyncShaScheduler restored(MakeRandomSampler(UnitSpace()), options);
+  ExpectMidRunSnapshotRoundTrip(original, restored, /*steps=*/200);
 }
 
 TEST(SnapshotFamily, LifecycleRoundTripsRecordsAndLeases) {

@@ -30,6 +30,20 @@ TEST(Metrics, CounterSemantics) {
   EXPECT_NE(&registry.counter("b"), &counter);
 }
 
+TEST(Metrics, CounterValueReadsWithoutRegistering) {
+  Telemetry telemetry(std::make_unique<VirtualClock>());
+  MetricsRegistry& registry = telemetry.metrics();
+  registry.counter("present").Increment(3);
+  const std::string before = registry.Snapshot().Dump();
+  const std::string before_telemetry = telemetry.MetricsJson().Dump();
+
+  EXPECT_EQ(registry.CounterValue("absent"), 0);
+  EXPECT_EQ(registry.CounterValue("present"), 3);
+  EXPECT_EQ(registry.Snapshot().Dump(), before);
+  EXPECT_EQ(telemetry.MetricsJson().Dump(), before_telemetry);
+  EXPECT_FALSE(registry.Snapshot().at("counters").Has("absent"));
+}
+
 TEST(Metrics, GaugeSemantics) {
   MetricsRegistry registry;
   Gauge& gauge = registry.gauge("depth");
@@ -233,7 +247,7 @@ class ReportSpy final : public Scheduler {
     }
     spans_seen.push_back(spans);
     completed_seen.push_back(
-        telemetry_.metrics().counter("driver.jobs_completed").value());
+        telemetry_.metrics().CounterValue("driver.jobs_completed"));
     inner_.ReportResult(job, loss);
   }
   void ReportLost(const Job& job) override { inner_.ReportLost(job); }
