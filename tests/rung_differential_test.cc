@@ -84,6 +84,11 @@ struct FuzzParams {
   double promote_probability;
   /// Losses drawn from a small discrete set to force ties when true.
   bool heavy_ties;
+};
+
+/// A fuzz run with a scripted twist on top of the random interleaving.
+struct ScenarioParams {
+  FuzzParams fuzz;
   /// Nonzero: eta switches to this value halfway through (the real rung
   /// rebuilds its candidate heaps).
   double eta_after;
@@ -94,10 +99,10 @@ struct FuzzParams {
   int min_reentries;
 };
 
-class RungDifferential : public testing::TestWithParam<FuzzParams> {};
-
-TEST_P(RungDifferential, MatchesReferenceUnderRandomOps) {
-  const auto params = GetParam();
+/// Drives the real and the reference rung through the same random
+/// operations and asserts they agree throughout.
+void RunDifferential(const ScenarioParams& scenario) {
+  const FuzzParams& params = scenario.fuzz;
   Rng rng(params.seed);
   Rung rung;
   ReferenceRung reference;
@@ -107,8 +112,8 @@ TEST_P(RungDifferential, MatchesReferenceUnderRandomOps) {
   const int check_every = std::max(64, params.steps / 64);
 
   for (int step = 0; step < params.steps; ++step) {
-    if (params.eta_after != 0 && step == params.steps / 2) {
-      eta = params.eta_after;
+    if (scenario.eta_after != 0 && step == params.steps / 2) {
+      eta = scenario.eta_after;
     }
     const bool try_promote = rng.Bernoulli(params.promote_probability);
     if (try_promote) {
@@ -130,7 +135,7 @@ TEST_P(RungDifferential, MatchesReferenceUnderRandomOps) {
       const double loss =
           params.heavy_ties
               ? 0.1 * static_cast<double>(
-                          rng.UniformInt(0, params.tie_levels - 1))
+                          rng.UniformInt(0, scenario.tie_levels - 1))
               : rng.Uniform();
       rung.Record(next_id, loss);
       reference.Record(next_id, loss, eta);
@@ -148,33 +153,55 @@ TEST_P(RungDifferential, MatchesReferenceUnderRandomOps) {
             reference.FirstPromotable(eta).has_value());
   EXPECT_EQ(rung.HasPromotable(eta),
             reference.FirstPromotable(eta).has_value());
-  EXPECT_GE(reference.promoted_reentries(), params.min_reentries);
+  EXPECT_GE(reference.promoted_reentries(), scenario.min_reentries);
+}
+
+std::string FuzzName(const FuzzParams& p) {
+  return "eta" + std::to_string(static_cast<int>(p.eta)) + "_seed" +
+         std::to_string(p.seed) + (p.heavy_ties ? "_ties" : "_uniform");
+}
+
+class RungDifferential : public testing::TestWithParam<FuzzParams> {};
+
+TEST_P(RungDifferential, MatchesReferenceUnderRandomOps) {
+  RunDifferential(ScenarioParams{GetParam(), 0, 6, 0});
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Fuzz, RungDifferential,
-    testing::Values(FuzzParams{2.0, 1, 4000, 0.3, false, 0, 0, 0},
-                    FuzzParams{2.0, 2, 4000, 0.6, true, 0, 6, 0},
-                    FuzzParams{3.0, 3, 4000, 0.4, false, 0, 0, 0},
-                    FuzzParams{3.0, 4, 2000, 0.5, true, 0, 6, 0},
-                    FuzzParams{4.0, 5, 4000, 0.2, false, 0, 0, 0},
-                    FuzzParams{4.0, 6, 4000, 0.45, true, 0, 6, 0},
-                    FuzzParams{8.0, 7, 4000, 0.3, false, 0, 0, 0},
-                    FuzzParams{2.0, 8, 500, 0.05, true, 0, 6, 0},
-                    FuzzParams{4.0, 9, 500, 0.9, false, 0, 0, 0},
-                    // eta switches mid-stream: the rebuild path.
-                    FuzzParams{4.0, 10, 4000, 0.3, true, 2.0, 6, 0},
-                    // ASHA's bottom rung at sweep scale.
-                    FuzzParams{4.0, 11, 60000, 0.25, false, 0, 0, 0},
-                    // Two loss levels: promoted entries are pushed out of
-                    // the prefix by better arrivals and re-enter it as it
-                    // grows.
-                    FuzzParams{2.0, 12, 4000, 0.5, true, 0, 2, 1}),
+    testing::Values(FuzzParams{2.0, 1, 4000, 0.3, false},
+                    FuzzParams{2.0, 2, 4000, 0.6, true},
+                    FuzzParams{3.0, 3, 4000, 0.4, false},
+                    FuzzParams{3.0, 4, 2000, 0.5, true},
+                    FuzzParams{4.0, 5, 4000, 0.2, false},
+                    FuzzParams{4.0, 6, 4000, 0.45, true},
+                    FuzzParams{8.0, 7, 4000, 0.3, false},
+                    FuzzParams{2.0, 8, 500, 0.05, true},
+                    FuzzParams{4.0, 9, 500, 0.9, false}),
     [](const testing::TestParamInfo<FuzzParams>& info) {
+      return FuzzName(info.param);
+    });
+
+class RungDifferentialScenario
+    : public testing::TestWithParam<ScenarioParams> {};
+
+TEST_P(RungDifferentialScenario, MatchesReferenceUnderRandomOps) {
+  RunDifferential(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fuzz, RungDifferentialScenario,
+    testing::Values(
+        // eta switches mid-stream: the rebuild path.
+        ScenarioParams{{4.0, 10, 4000, 0.3, true}, 2.0, 6, 0},
+        // ASHA's bottom rung at sweep scale.
+        ScenarioParams{{4.0, 11, 60000, 0.25, false}, 0, 0, 0},
+        // Two loss levels: promoted entries are pushed out of the prefix by
+        // better arrivals and re-enter it as it grows.
+        ScenarioParams{{2.0, 12, 4000, 0.5, true}, 0, 2, 1}),
+    [](const testing::TestParamInfo<ScenarioParams>& info) {
       const auto& p = info.param;
-      std::string name = "eta" + std::to_string(static_cast<int>(p.eta)) +
-                         "_seed" + std::to_string(p.seed) +
-                         (p.heavy_ties ? "_ties" : "_uniform");
+      std::string name = FuzzName(p.fuzz);
       if (p.eta_after != 0) {
         name += "_to_eta" + std::to_string(static_cast<int>(p.eta_after));
       }
